@@ -49,8 +49,7 @@ func runServe(args []string) error {
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 
 		dataDir   = fs.String("data-dir", "", "durability root: per-tenant write-ahead log + checkpoints, recovered on startup; empty disables durability")
-		syncEvery = fs.Int("wal-sync-every", 1, "fsync the WAL after every n-th record (1 = every acknowledged mutation is durable)")
-		gcWindow  = fs.Duration("wal-group-commit-window", 0, "cross-tenant group commit: tenant loops share fsyncs within this window (e.g. 500us); 0 disables, >0 overrides -wal-sync-every")
+		gcWindow  = fs.Duration("wal-group-commit-window", 0, "WAL commit window: tenant loops that finish a batch within it share one fsync round (e.g. 500us); 0 commits each batch as soon as it is appended")
 		ckptEvery = fs.Int("checkpoint-every", 10000, "auto-checkpoint a tenant after n WAL records since the last checkpoint (0 = only via POST /admin/checkpoint)")
 
 		selftest  = fs.Bool("selftest", false, "serve on an ephemeral port, replay a synthetic workload, print the report, exit")
@@ -78,7 +77,6 @@ func runServe(args []string) error {
 		return err
 	}
 	cfg.DataDir = *dataDir
-	cfg.WALSyncEvery = *syncEvery
 	cfg.WALGroupCommitWindow = *gcWindow
 	cfg.CheckpointEvery = *ckptEvery
 	cfg.ADPaRWorkers = *adparWork
@@ -100,13 +98,8 @@ func runServe(args []string) error {
 		return err
 	}
 	if *dataDir != "" {
-		if *gcWindow > 0 {
-			fmt.Printf("stratrec serve: durability on under %s (group commit window %v, checkpoint every %d)\n",
-				*dataDir, *gcWindow, *ckptEvery)
-		} else {
-			fmt.Printf("stratrec serve: durability on under %s (sync every %d, checkpoint every %d)\n",
-				*dataDir, *syncEvery, *ckptEvery)
-		}
+		fmt.Printf("stratrec serve: durability on under %s (commit window %v, checkpoint every %d)\n",
+			*dataDir, *gcWindow, *ckptEvery)
 	}
 
 	if *selftest {

@@ -35,10 +35,10 @@ type CrashConfig struct {
 	// as a one-op batch (see RunConfig.ViaBatch), proving batch-ingested
 	// mutations leave the same durable trace.
 	ViaBatch bool
-	// GroupCommitWindow, when positive, runs both server incarnations
-	// with cross-tenant group commit at that window instead of per-append
-	// fsyncs. The durability contract the oracle assumes — every
-	// acknowledged mutation fsynced before its reply — holds either way.
+	// GroupCommitWindow is the WAL commit window both server incarnations
+	// run with (0 = commit each batch as soon as it is appended). The
+	// durability contract the oracle assumes — every acknowledged
+	// mutation fsynced before its reply — holds at any window.
 	GroupCommitWindow time.Duration
 	// DataDir is the durability root; empty uses a fresh temp dir that is
 	// removed after a divergence-free run and kept when divergences were
@@ -75,10 +75,10 @@ type CrashResult struct {
 // recovered server is observably the same server.
 //
 // The kill is faithful to a real crash for everything the client was
-// told: at the oracle's sync policy (every append fsynced before the
-// reply), closing the server publishes exactly the byte stream a SIGKILL
-// would have left, and TornTail adds the one artifact a mid-append kill
-// can produce.
+// told: every acknowledged mutation is fsynced before its reply, so
+// closing the server publishes exactly the byte stream a SIGKILL would
+// have left, and TornTail adds the one artifact a mid-append kill can
+// produce.
 func RunCrash(tr Trace, cfg CrashConfig) (CrashResult, error) {
 	if tr.Version != FormatVersion {
 		return CrashResult{}, fmt.Errorf("conformance: trace version %d, this build replays %d", tr.Version, FormatVersion)
@@ -141,11 +141,9 @@ func RunCrash(tr Trace, cfg CrashConfig) (CrashResult, error) {
 		Tenants: map[string]server.TenantConfig{},
 		Now:     func() time.Time { return time.Unix(1700000000, 0) },
 		DataDir: dataDir,
-		// Every acknowledged mutation fsynced before the reply: the
-		// durability contract under which an abrupt close equals a kill.
-		// With a group-commit window the scheduler upholds the same
-		// contract (WALSyncEvery is then ignored).
-		WALSyncEvery:         1,
+		// The commit scheduler fsyncs every acknowledged mutation before
+		// its reply, at any window: the durability contract under which
+		// an abrupt close equals a kill.
 		WALGroupCommitWindow: cfg.GroupCommitWindow,
 	}
 	for _, spec := range tr.Tenants {

@@ -75,20 +75,21 @@ type OverloadConfig struct {
 	// defaults it to 40 when unset.
 	WALFailSyncs int
 	// WALFailAppends fails every WAL record append from the Nth onward
-	// (0 = never). Unlike a sync failure, an append failure rolls the
-	// log back to its durable prefix — under group commit that prefix
-	// excludes earlier records of the same coalesced batch, so the
-	// server must un-acknowledge those ops too (503, absent after
-	// restart) or the ledger shows acked-but-absent mutations.
+	// (0 = never). Like a sync failure, an append failure rolls the log
+	// back to its durable prefix, which excludes earlier records of the
+	// same coalesced batch (a whole batch is buffered between commit
+	// rounds), so the server must un-acknowledge those ops too (503,
+	// absent after restart) or the ledger shows acked-but-absent
+	// mutations.
 	WALFailAppends int
 	// P99Budget bounds the client-observed mutation latency p99 (0 = 2s
 	// — generous, the point is that no mutation parks on a blocked send).
 	P99Budget time.Duration
-	// GroupCommitWindow, when positive, runs the overloaded phase-1
-	// server with cross-tenant group commit at that window: the commit
-	// scheduler must uphold acked ⇒ fsynced and no-trace-on-shed under
-	// the same chaos the per-append policy is audited against. The
-	// restarted server recovers with plain per-append fsyncs either way.
+	// GroupCommitWindow is the WAL commit window of the overloaded
+	// phase-1 server (0 = commit each batch as soon as it is appended):
+	// the commit scheduler must uphold acked ⇒ fsynced and
+	// no-trace-on-shed under the same chaos at any window. The restarted
+	// server runs at window 0.
 	GroupCommitWindow time.Duration
 	// DataDir is the durability root; empty uses a temp dir removed
 	// after a clean run and kept on violations (CI artifact).
@@ -252,6 +253,10 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		dataDir = tmp
 	} else if entries, err := os.ReadDir(dataDir); err == nil && len(entries) > 0 {
 		return res, fmt.Errorf("conformance: overload data dir %s is not empty", dataDir)
+	} else if err := os.MkdirAll(dataDir, 0o755); err != nil {
+		// The log journal below opens before server.New creates any
+		// tenant directory.
+		return res, err
 	}
 	res.DataDir = dataDir
 	keep := false
@@ -269,7 +274,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	}
 	if cfg.WALFailSyncs > 0 {
 		faults.WALSync = func() error {
-			syncs++ // loop goroutine only, per Faults contract
+			syncs++ // sequential per tenant, per Faults contract
 			if syncs >= cfg.WALFailSyncs {
 				return fmt.Errorf("injected fsync failure (sync %d)", syncs)
 			}
@@ -306,7 +311,6 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	s1, err := server.New(server.Config{
 		Tenants:              map[string]server.TenantConfig{spec.Name: tenantCfg},
 		DataDir:              dataDir,
-		WALSyncEvery:         1,
 		WALGroupCommitWindow: cfg.GroupCommitWindow,
 		ADPaRWorkers:         1,
 		ADPaRQueue:           1,
@@ -346,9 +350,8 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	tenantCfg.Faults = nil
 	start := time.Now() //lint:allow clockdiscipline -- RecoveryDuration reports real restart latency to the operator
 	s2, err := server.New(server.Config{
-		Tenants:      map[string]server.TenantConfig{spec.Name: tenantCfg},
-		DataDir:      dataDir,
-		WALSyncEvery: 1,
+		Tenants: map[string]server.TenantConfig{spec.Name: tenantCfg},
+		DataDir: dataDir,
 	})
 	res.RecoveryDuration = time.Since(start) //lint:allow clockdiscipline -- RecoveryDuration reports real restart latency to the operator
 	if err != nil {
@@ -667,10 +670,9 @@ func verifyAccounting(cfg OverloadConfig, initialW float64, ledgers []*workerLed
 
 	// Epoch exactly-once: acked epochs are exactly {1..N}, recovered
 	// epoch is N. Valid even under an injected WAL failure: the
-	// applied-but-undurable mutations (one for a failed sync; up to a
-	// whole rolled-back batch for a failed append under group commit)
-	// are by construction the last applies before read-only, and none
-	// of them was acked.
+	// applied-but-undurable mutations (up to a whole coalesced batch for
+	// a failed commit round or append) are by construction the last
+	// applies before read-only, and none of them was acked.
 	sort.Slice(acked, func(i, j int) bool { return acked[i].epoch < acked[j].epoch })
 	for i, a := range acked {
 		if a.epoch != uint64(i+1) {

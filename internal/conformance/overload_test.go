@@ -38,10 +38,11 @@ func TestOverloadProfilesAccounting(t *testing.T) {
 	}
 }
 
-// TestOverloadGroupCommitAccounting: the commit scheduler under chaos.
-// With group commit sharing fsyncs and the fsync-failure schedule
-// tripping the read-only breaker mid-run, the ledger must still balance:
-// every acked mutation recovered, every shed absent, epochs exactly once.
+// TestOverloadGroupCommitAccounting: the commit scheduler under chaos at
+// a nonzero window. With fsyncs shared across batches and the
+// fsync-failure schedule tripping the read-only breaker mid-run, the
+// ledger must still balance: every acked mutation recovered, every shed
+// absent, epochs exactly once.
 func TestOverloadGroupCommitAccounting(t *testing.T) {
 	res, err := RunOverload(OverloadConfig{
 		Profile:           RevokeStormShed,
@@ -63,8 +64,8 @@ func TestOverloadGroupCommitAccounting(t *testing.T) {
 
 // TestOverloadGroupCommitAppendFailureAccounting: the append-path
 // counterpart of the group-commit chaos run. A WAL append failure rolls
-// the log back to its durable prefix, which under group commit destroys
-// the earlier records of the same coalesced batch — ops whose appends
+// the log back to its durable prefix, which destroys the earlier records
+// of the same coalesced batch — ops whose appends
 // succeeded and whose records are suddenly gone. The ledger must still
 // balance: no op acked before the mid-batch failure may turn up
 // acked-but-absent after the restart, and everything rolled back must

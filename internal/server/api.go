@@ -520,12 +520,14 @@ func (s *Server) handleBatch(t *Tenant, w http.ResponseWriter, r *http.Request) 
 		}
 		idx = append(idx, i)
 	}
-	opResults, err := t.applyOps(ctx, ops)
+	opResults, err := t.enqueue(ctx, ops)
 	if err != nil {
 		// Whole-batch rejection: nothing was enqueued, nothing applied.
 		writeError(w, err)
 		return
 	}
+	t.met.ingestBatches.Add(1)
+	t.met.ingestBatchOps.Add(int64(len(ops)))
 	for j, res := range opResults {
 		i := idx[j]
 		if res.err != nil {

@@ -56,41 +56,61 @@ func snapshotsEqual(t *testing.T, want, got *stream.Snapshot) {
 	}
 }
 
-// driveMutations applies a deterministic submit/revoke/drift mix directly
-// through the tenant API and returns the IDs still open.
-func driveMutations(t *testing.T, tn *Tenant, n int, seed int64) []string {
-	t.Helper()
+// mutationMix is a deterministic submit/revoke/drift sequence of n ops;
+// every revoke targets a request submitted, and still open, earlier in
+// the sequence.
+func mutationMix(n int, seed int64) []op {
 	rng := rand.New(rand.NewSource(seed))
 	var open []string
 	next := 0
+	ops := make([]op, 0, n)
 	for i := 0; i < n; i++ {
 		switch {
 		case len(open) > 0 && (rng.Float64() < 0.45 || len(open) > 40):
 			j := rng.Intn(len(open))
-			id := open[j]
+			ops = append(ops, op{kind: opRevoke, id: open[j]})
 			open = append(open[:j], open[j+1:]...)
-			if _, err := tn.Revoke(context.Background(), id); err != nil {
-				t.Fatalf("revoke %s: %v", id, err)
-			}
 		case rng.Float64() < 0.06:
-			if _, err := tn.SetAvailability(context.Background(), 0.3+0.6*rng.Float64()); err != nil {
-				t.Fatal(err)
-			}
+			ops = append(ops, op{kind: opAvailability, w: 0.3 + 0.6*rng.Float64()})
 		default:
 			id := fmt.Sprintf("r%05d", next)
 			next++
-			d := strategy.Request{
+			ops = append(ops, op{kind: opSubmit, req: strategy.Request{
 				ID:     id,
 				Params: strategy.Params{Quality: 0.25 + 0.6*rng.Float64(), Cost: 0.9, Latency: 0.9},
 				K:      1,
-			}
-			if _, err := tn.Submit(context.Background(), d); err != nil {
-				t.Fatalf("submit %s: %v", id, err)
-			}
+			}})
 			open = append(open, id)
 		}
 	}
-	return open
+	return ops
+}
+
+// driveMutations applies mutationMix(n, seed) one op per enqueue — the
+// single-op wire shape.
+func driveMutations(t *testing.T, tn *Tenant, n int, seed int64) {
+	t.Helper()
+	driveBatches(t, tn, n, seed, 1)
+}
+
+// driveBatches applies mutationMix(n, seed) through the tenant's
+// admission path, size ops per enqueue, failing on any op not
+// acknowledged.
+func driveBatches(t *testing.T, tn *Tenant, n int, seed int64, size int) {
+	t.Helper()
+	ops := mutationMix(n, seed)
+	for lo := 0; lo < len(ops); lo += size {
+		body := ops[lo:min(lo+size, len(ops))]
+		results, err := tn.enqueue(context.Background(), body)
+		if err != nil {
+			t.Fatalf("body at op %d refused: %v", lo, err)
+		}
+		for i, res := range results {
+			if res.err != nil {
+				t.Fatalf("%s %s: %v", body[i].kind, appliedID(body[i]), res.err)
+			}
+		}
+	}
 }
 
 func TestDurableRestartRestoresState(t *testing.T) {
@@ -353,8 +373,8 @@ func TestWALFailureGoesReadOnly(t *testing.T) {
 	driveMutations(t, tn, 40, 29)
 	want := tn.Snapshot()
 
-	// Sabotage the log out from under the loop: the next append's fsync
-	// hits a closed file. (The happens-before chain is the op channel:
+	// Sabotage the log out from under the loop: the next commit round's
+	// fsync hits a closed file. (The happens-before chain is the op channel:
 	// this Close precedes the Submit below in program order, and the loop
 	// observes it after receiving the op.)
 	tn.wal.Close()
@@ -404,16 +424,15 @@ func TestRecoveryTenThousandEventsUnder2s(t *testing.T) {
 	cfg := Config{
 		Tenants: map[string]TenantConfig{"alpha": fixedTenant(6, 0.7)},
 		DataDir: dir,
-		// Batched fsync keeps the *write* phase fast; recovery itself is
-		// unaffected by the sync policy.
-		WALSyncEvery: 64,
 	}
 	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tn, _ := s1.Tenant("alpha")
-	driveMutations(t, tn, 10000, 23)
+	// 64-op bodies keep the write phase to one commit round per body;
+	// recovery itself does not depend on how the log was written.
+	driveBatches(t, tn, 10000, 23, 64)
 	want := tn.Snapshot()
 	s1.Close()
 

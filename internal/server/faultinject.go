@@ -10,10 +10,11 @@ import "time"
 // production configs leave the whole struct nil — the serving path then
 // pays a single nil check per op.
 //
-// Both hooks run on the tenant's single-writer loop goroutine, so
-// invocations are strictly sequential per tenant and may keep state
-// without locking (schedules, counters). Blocking inside a hook stalls
-// the loop — for ApplyDelay that is exactly the point.
+// ApplyDelay and WALAppend run on the tenant's single-writer loop
+// goroutine, and WALSync on the commit scheduler while that loop waits
+// for its round, so invocations are strictly sequential per tenant and
+// may keep state without locking (schedules, counters). Blocking inside
+// a hook stalls the loop — for ApplyDelay that is exactly the point.
 type Faults struct {
 	// ApplyDelay, when non-nil, is consulted before each live mutation is
 	// applied; the loop sleeps for the returned duration first. Recovery
@@ -21,23 +22,24 @@ type Faults struct {
 	// internally (e.g. on a test gate channel) freezes the loop, which is
 	// the deterministic way to fill the inbox.
 	ApplyDelay func(kind, id string) time.Duration
-	// WALSync, when non-nil, runs at the start of every WAL fsync batch.
+	// WALSync, when non-nil, runs at the start of every WAL fsync.
 	// Sleeping inside models a slow disk; returning an error fails the
-	// sync, which fails the triggering append and trips the tenant's
-	// read-only circuit breaker (ErrWALBroken). The failed record is
-	// discarded, never flushed (see wal.Options.TestSyncHook), so a 503
-	// keeps its meaning: not acknowledged, not recovered.
+	// commit round: every op whose record the round covered answers
+	// ErrWALBroken, and the tenant trips its read-only circuit breaker.
+	// The failed records are discarded, never flushed (see
+	// wal.Options.TestSyncHook), so a 503 keeps its meaning: not
+	// acknowledged, not recovered.
 	WALSync func() error
 	// WALAppend, when non-nil, runs at the start of every WAL record
 	// append, before the record's bytes reach the log's buffered writer.
 	// Returning an error fails that append like a disk write failure:
 	// the log rolls back to its durable prefix (destroying any earlier
-	// same-batch records the prefix does not cover — the group-commit
-	// case, where a whole coalesced batch is buffered between fsyncs),
-	// the tenant trips its read-only circuit breaker, and every op whose
-	// record was rolled back answers ErrWALBroken. WALSync never fires
-	// inside a manual-sync append, so append-path failures need this
-	// separate hook (see wal.Options.TestWriteHook).
+	// same-batch records the prefix does not cover — a whole coalesced
+	// batch is buffered between commit rounds), the tenant trips its
+	// read-only circuit breaker, and every op whose record was rolled
+	// back answers ErrWALBroken. Tenant logs fsync only in commit rounds,
+	// never inside an append, so append-path failures need this separate
+	// hook (see wal.Options.TestWriteHook).
 	WALAppend func() error
 	// SolveDelay, unlike the loop hooks above, runs on HANDLER
 	// goroutines: it stretches every ADPaR alternative solve while its

@@ -8,21 +8,19 @@ import (
 	"stratrec/internal/wal"
 )
 
-// groupCommitter is the server-wide commit scheduler behind
-// Config.WALGroupCommitWindow: tenant event loops that finish a batch at
-// around the same time share fsync rounds instead of each paying a full
-// disk flush per batch.
-//
-// With per-tenant SyncEvery batching, fsyncs amortize only within one
-// tenant's queue; a server hosting many moderately-loaded tenants still
-// issues one fsync per tenant per batch. The scheduler inverts that:
-// each tenant's loop appends its batch (buffered, Options.SyncManual)
-// and then asks the scheduler to make the log durable. The scheduler
-// collects requests for up to the window, then syncs all the collected
-// logs — in parallel, since they are distinct files — and releases every
-// waiter at once. Each log is still fsynced before any of its ops is
-// acknowledged, so the per-op guarantee (acked ⇒ logged ⇒ fsynced) is
-// exactly the SyncEvery=1 guarantee; only the waiting is shared.
+// groupCommitter is the server-wide commit scheduler and the only path
+// by which a tenant's WAL records become durable: every durable server
+// runs one. Each tenant loop appends its coalesced batch (buffered,
+// wal.Options.SyncManual) and then asks the scheduler to make the log
+// durable. The scheduler collects requests for up to the window
+// (Config.WALGroupCommitWindow), then syncs all the collected logs — in
+// parallel, since they are distinct files — and releases every waiter at
+// once, so tenants that finish a batch at around the same time share one
+// fsync round. At window 0 a round opens as soon as a request arrives
+// and takes along only the requests already waiting: each batch commits
+// as soon as it is appended. At any window each log is fsynced before
+// any of its ops is acknowledged (acked ⇒ logged ⇒ fsynced); only the
+// waiting is shared.
 //
 // A log appears at most once per round: its only committer is its
 // tenant's loop, which blocks in commit until the round resolves. The

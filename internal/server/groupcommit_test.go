@@ -74,9 +74,9 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFailureNoTrace: a failed commit round must behave like
-// an inline fsync failure — the ops it covered get ErrWALBroken, the
-// tenant goes read-only, readers never observe the unacked writes, and
+// TestGroupCommitFailureNoTrace: after a failed commit round the ops it
+// covered get ErrWALBroken, the tenant goes read-only, readers never
+// observe the unacked writes, and
 // the restart rebuilds exactly the durable prefix. The WAL's rollback
 // guarantees the failed round's records cannot resurface even though the
 // buffered writer may already have spilled them into the segment file.
@@ -192,7 +192,7 @@ func TestGroupCommitMidBatchAppendFailureNoLostRollback(t *testing.T) {
 	}
 	batchDone := make(chan applied, 1)
 	go func() {
-		results, err := tn.applyOps(context.Background(), batch)
+		results, err := tn.enqueue(context.Background(), batch)
 		batchDone <- applied{results, err}
 	}()
 	// The enqueue path is non-blocking, so once all three ops sit in the
@@ -206,7 +206,7 @@ func TestGroupCommitMidBatchAppendFailureNoLostRollback(t *testing.T) {
 	}
 	got := <-batchDone
 	if got.err != nil {
-		t.Fatalf("applyOps rejected the batch as a unit: %v", got.err)
+		t.Fatalf("enqueue refused the batch as a unit: %v", got.err)
 	}
 	for i, res := range got.results {
 		// "first" is the op the rollback destroys behind a successful
@@ -382,5 +382,31 @@ func TestServerCloseOrderingNoDirectSyncs(t *testing.T) {
 	}
 	if s.gc.rounds.Load() == 0 {
 		t.Fatal("no commit rounds — the test never exercised the scheduler")
+	}
+}
+
+// TestZeroWindowCommitsEachBatch: a durable server without a window still
+// commits through the scheduler, each batch as soon as it is appended —
+// N sequential single-op submits are N rounds and N fsyncs, none of them
+// outside the scheduler.
+func TestZeroWindowCommitsEachBatch(t *testing.T) {
+	s, err := New(Config{
+		Tenants: map[string]TenantConfig{"alpha": fixedTenant(6, 0.7)},
+		DataDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tn, _ := s.Tenant("alpha")
+	const n = 25
+	for i := 0; i < n; i++ {
+		if _, err := tn.Submit(context.Background(), submitReqN(fmt.Sprintf("z%d", i), 0.52)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	rounds, syncs, direct := s.gc.rounds.Load(), tn.wal.Syncs(), s.gc.directSyncs.Load()
+	if rounds != n || syncs != n || direct != 0 {
+		t.Fatalf("rounds=%d syncs=%d direct_syncs=%d, want %d, %d, 0", rounds, syncs, direct, n, n)
 	}
 }

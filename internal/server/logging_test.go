@@ -338,6 +338,84 @@ func TestShedEventsCarryTrace(t *testing.T) {
 	}
 }
 
+// TestRefusedBodySettlesEachOp: a body refused at admission — the tenant
+// read-only, the tenant draining, or a deadline the projected queue wait
+// already overshoots — gets one 503/429 for the whole body, yet every op
+// it carried moves its counter once and leaves one "shed" line with its
+// own kind and id and the request's trace, on either wire shape.
+func TestRefusedBodySettlesEachOp(t *testing.T) {
+	type opRef struct{ kind, id string }
+	shapes := []struct {
+		name, path string
+		body       any
+		ops        []opRef
+	}{
+		{"per-op", "/requests", SubmitRequest{ID: "a", Quality: 0.4, Cost: 0.9, Latency: 0.9, K: 1},
+			[]opRef{{"submit", "a"}}},
+		{"ops-body", "/ops", BatchRequest{Ops: []BatchOp{
+			{Op: OpSubmit, ID: "a", Quality: 0.4, Cost: 0.9, Latency: 0.9, K: 1},
+			{Op: OpRevoke, ID: "a"},
+			{Op: OpAvailability, Workforce: 0.6},
+		}}, []opRef{{"submit", "a"}, {"revoke", "a"}, {"availability", ""}}},
+	}
+	refusals := []struct {
+		name    string
+		status  int
+		refuse  func(*Tenant, *http.Request)
+		counter func(*tenantMetrics) int64
+	}{
+		{"read-only", http.StatusServiceUnavailable,
+			func(tn *Tenant, _ *http.Request) { tn.readOnly.Store(true) },
+			func(m *tenantMetrics) int64 { return m.errors.Value() }},
+		{"draining", http.StatusServiceUnavailable,
+			func(tn *Tenant, _ *http.Request) { tn.draining.Store(true) },
+			func(m *tenantMetrics) int64 { return m.errors.Value() }},
+		{"deadline", http.StatusTooManyRequests,
+			func(tn *Tenant, r *http.Request) {
+				pinLatency(tn, 50*time.Millisecond)
+				r.Header.Set(DeadlineHeader, "1")
+			},
+			func(m *tenantMetrics) int64 { return m.shedsDeadline.Value() }},
+	}
+	for _, rf := range refusals {
+		for _, sh := range shapes {
+			t.Run(rf.name+"/"+sh.name, func(t *testing.T) {
+				logger, sink := captureLogger(slog.LevelInfo)
+				s, hs := newTestServer(t, Config{
+					Tenants: map[string]TenantConfig{"alpha": fixedTenant(4, 0.7)},
+					Logger:  logger,
+				})
+				tn, _ := s.Tenant("alpha")
+				req := newJSONRequest(t, http.MethodPost, hs.URL+"/v1/tenants/alpha"+sh.path, sh.body)
+				trace := "refused-" + rf.name + "-" + sh.name
+				req.Header.Set(TraceHeader, trace)
+				rf.refuse(tn, req)
+				before := rf.counter(tn.met)
+				resp, err := hs.Client().Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != rf.status {
+					t.Fatalf("status %d, want one %d for the whole body", resp.StatusCode, rf.status)
+				}
+				if got := rf.counter(tn.met) - before; got != int64(len(sh.ops)) {
+					t.Errorf("counter moved by %d, want %d (one per op)", got, len(sh.ops))
+				}
+				terms := sink.terminals(trace)
+				if len(terms) != len(sh.ops) {
+					t.Fatalf("terminal events: %d, want %d (%+v)", len(terms), len(sh.ops), terms)
+				}
+				for i, e := range terms {
+					if e.msg != evShed || e.attrs["kind"] != sh.ops[i].kind || e.attrs["id"] != sh.ops[i].id {
+						t.Errorf("terminal %d: %+v, want shed %s %q", i, e, sh.ops[i].kind, sh.ops[i].id)
+					}
+				}
+			})
+		}
+	}
+}
+
 // pinLatency fixes the tenant's batch-latency EWMA so projected-wait
 // admission math is deterministic in tests.
 func pinLatency(tn *Tenant, d time.Duration) {

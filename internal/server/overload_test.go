@@ -173,9 +173,8 @@ func TestShutdownUnderLoadAcksOrShedsEverything(t *testing.T) {
 	dir := t.TempDir()
 	cfg, gate, entered := gatedTenantConfig(8, 4)
 	s, err := New(Config{
-		Tenants:      map[string]TenantConfig{"x": cfg},
-		DataDir:      dir,
-		WALSyncEvery: 1,
+		Tenants: map[string]TenantConfig{"x": cfg},
+		DataDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,9 +223,8 @@ func TestShutdownUnderLoadAcksOrShedsEverything(t *testing.T) {
 	// Restart from disk: the recovered set is exactly the acked set.
 	cfg2 := fixedTenant(4, 1)
 	s2, err := New(Config{
-		Tenants:      map[string]TenantConfig{"x": cfg2},
-		DataDir:      dir,
-		WALSyncEvery: 1,
+		Tenants: map[string]TenantConfig{"x": cfg2},
+		DataDir: dir,
 	})
 	if err != nil {
 		t.Fatalf("restart after shutdown under load: %v", err)
@@ -334,8 +332,7 @@ func TestHealthzPerTenant(t *testing.T) {
 			"good": fixedTenant(4, 1),
 			"bad":  badCfg,
 		},
-		DataDir:      dir,
-		WALSyncEvery: 1,
+		DataDir: dir,
 	})
 	c := hs.Client()
 
@@ -383,9 +380,8 @@ func TestHealthzUnavailableWhenAllBroken(t *testing.T) {
 	cfg := fixedTenant(4, 1)
 	cfg.Faults = &Faults{WALSync: func() error { return errors.New("injected fsync failure") }}
 	s, hs := newTestServer(t, Config{
-		Tenants:      map[string]TenantConfig{"only": cfg},
-		DataDir:      dir,
-		WALSyncEvery: 1,
+		Tenants: map[string]TenantConfig{"only": cfg},
+		DataDir: dir,
 	})
 	tn, _ := s.Tenant("only")
 	if _, err := tn.Submit(context.Background(), submitReqN("a", 0.52)); !errors.Is(err, ErrWALBroken) {

@@ -44,24 +44,18 @@ type Config struct {
 	// (internal/wal), recovered through the tenant's own event loop on
 	// New. Tenant names must then be usable as directory names.
 	DataDir string
-	// WALSyncEvery batches WAL fsyncs: the segment is fsynced after every
-	// n-th appended record. At the default (≤1) every acknowledged
-	// mutation is durable before its HTTP response is written; larger
-	// values trade the last <n acknowledged mutations on a hard crash for
-	// append throughput.
-	WALSyncEvery int
 	// CheckpointEvery auto-checkpoints a tenant (snapshot + WAL
 	// truncation) after this many records appended since the last
 	// checkpoint. 0 means checkpoints happen only via POST
 	// /admin/checkpoint.
 	CheckpointEvery int
-	// WALGroupCommitWindow, when positive, turns on cross-tenant group
-	// commit: tenant loops stop fsyncing their own logs (WALSyncEvery is
-	// ignored) and instead hand durability to a server-wide commit
-	// scheduler, which collects concurrently-finishing batches for up to
-	// the window and shares one fsync round across them. Every mutation
-	// is still fsynced before it is acknowledged — the window bounds
-	// added ack latency, not durability. 0 disables the scheduler.
+	// WALGroupCommitWindow is how long the server-wide commit scheduler,
+	// which fsyncs every durable tenant's WAL, collects concurrently
+	// finishing batches before one shared fsync round makes them all
+	// durable. 0 commits each batch as soon as it is appended, sharing a
+	// round only with batches already waiting. At any window every
+	// mutation is fsynced before it is acknowledged — the window bounds
+	// added ack latency, not durability.
 	WALGroupCommitWindow time.Duration
 
 	// ADPaRWorkers caps concurrently running ADPaR alternative solves
@@ -119,8 +113,8 @@ type Server struct {
 	// dur carries the WAL settings runtime-created tenants inherit.
 	dur  durability
 	pool *queryPool
-	// gc is the cross-tenant commit scheduler (nil unless
-	// Config.WALGroupCommitWindow is set and durability is on).
+	// gc is the cross-tenant commit scheduler (nil unless durability is
+	// on).
 	gc *groupCommitter
 	// mutDeadline is Config.MutationDeadline (0 = none).
 	mutDeadline time.Duration
@@ -152,12 +146,11 @@ func New(cfg Config) (*Server, error) {
 		mutDeadline: cfg.MutationDeadline,
 		log:         logger,
 	}
-	if cfg.DataDir != "" && cfg.WALGroupCommitWindow > 0 {
+	if cfg.DataDir != "" {
 		s.gc = newGroupCommitter(cfg.WALGroupCommitWindow)
 	}
 	s.dur = durability{
 		dataDir:         cfg.DataDir,
-		syncEvery:       cfg.WALSyncEvery,
 		checkpointEvery: cfg.CheckpointEvery,
 		gc:              s.gc,
 	}

@@ -87,11 +87,10 @@ var ErrWALBroken = errors.New("server: write-ahead log failed; tenant is read-on
 // durability carries the server-level WAL settings down to each tenant.
 type durability struct {
 	dataDir         string
-	syncEvery       int
 	checkpointEvery int
-	// gc, when non-nil, is the server's cross-tenant group-commit
-	// scheduler: the tenant opens its WAL in manual-sync mode and asks gc
-	// to make each batch durable instead of fsyncing inline.
+	// gc is the server's commit scheduler, set whenever dataDir is: the
+	// tenant opens its WAL in manual-sync mode and asks gc to make each
+	// batch durable.
 	gc *groupCommitter
 }
 
@@ -114,8 +113,8 @@ type Tenant struct {
 
 	// wal, when non-nil, is the tenant's write-ahead log: the loop
 	// appends every successful live mutation (after applying it, before
-	// publishing the snapshot and replying), so an acknowledged mutation
-	// is on disk — and, at the default sync policy, fsynced — before the
+	// publishing the snapshot and replying) and commits the batch through
+	// gc, so an acknowledged mutation is on disk and fsynced before the
 	// client sees the acknowledgement. On the first append failure the
 	// failing mutation's snapshot is withheld (readers never observe the
 	// unlogged write), readOnly trips, and the tenant rejects writes
@@ -131,7 +130,7 @@ type Tenant struct {
 	draining  atomic.Bool
 	ckptEvery int
 	sinceCkpt int
-	// gc is the server's group-commit scheduler; when set, the WAL is in
+	// gc is the server's commit scheduler (set with wal): the WAL is in
 	// manual-sync mode and applyBatch commits each batch through it.
 	gc *groupCommitter
 
@@ -245,8 +244,8 @@ type opResult struct {
 	epoch  uint64
 	err    error
 	// seq is the op's WAL sequence number (live logged mutations only);
-	// under group commit it decides, after a failed commit round, whether
-	// the op's record made it into the durable prefix.
+	// after a failed append or commit round it decides whether the op's
+	// record made it into the durable prefix.
 	seq uint64
 	// ckpt reports checkpoint outcomes (opCheckpoint).
 	ckpt CheckpointInfo
@@ -308,7 +307,7 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 	}
 	var recovered wal.Recovered
 	if dur.dataDir != "" {
-		opts := wal.Options{SyncEvery: dur.syncEvery, SyncManual: dur.gc != nil}
+		opts := wal.Options{SyncManual: true}
 		if cfg.Faults != nil && cfg.Faults.WALSync != nil {
 			opts.TestSyncHook = cfg.Faults.WALSync
 		}
@@ -356,11 +355,11 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 // integrity check of recovery.
 func (t *Tenant) restore(rec wal.Recovered) error {
 	if cp := rec.Checkpoint; cp != nil {
-		if res := t.do(context.Background(), op{kind: opAvailability, w: cp.Availability, replay: true}); res.err != nil {
+		if res := t.do(op{kind: opAvailability, w: cp.Availability, replay: true}); res.err != nil {
 			return fmt.Errorf("restoring availability %v: %w", cp.Availability, res.err)
 		}
 		for _, r := range cp.Requests {
-			res := t.do(context.Background(), op{kind: opSubmit, replay: true, sub: r.Sub, req: strategy.Request{
+			res := t.do(op{kind: opSubmit, replay: true, sub: r.Sub, req: strategy.Request{
 				ID:     r.ID,
 				Params: strategy.Params{Quality: r.Quality, Cost: r.Cost, Latency: r.Latency},
 				K:      r.K,
@@ -372,7 +371,7 @@ func (t *Tenant) restore(rec wal.Recovered) error {
 				return fmt.Errorf("re-admitting %s (sub %d): %w", r.ID, r.Sub, err)
 			}
 		}
-		if res := t.do(context.Background(), op{kind: opRestoreCounters, replay: true, epoch: cp.Epoch, sub: cp.NextSub}); res.err != nil {
+		if res := t.do(op{kind: opRestoreCounters, replay: true, epoch: cp.Epoch, sub: cp.NextSub}); res.err != nil {
 			return res.err
 		}
 	}
@@ -380,7 +379,7 @@ func (t *Tenant) restore(rec wal.Recovered) error {
 		var res opResult
 		switch r.Kind {
 		case wal.KindSubmit:
-			res = t.do(context.Background(), op{kind: opSubmit, replay: true, sub: r.Sub, req: strategy.Request{
+			res = t.do(op{kind: opSubmit, replay: true, sub: r.Sub, req: strategy.Request{
 				ID:     r.ID,
 				Params: strategy.Params{Quality: r.Quality, Cost: r.Cost, Latency: r.Latency},
 				K:      r.K,
@@ -391,9 +390,9 @@ func (t *Tenant) restore(rec wal.Recovered) error {
 				}
 			}
 		case wal.KindRevoke:
-			res = t.do(context.Background(), op{kind: opRevoke, replay: true, id: r.ID})
+			res = t.do(op{kind: opRevoke, replay: true, id: r.ID})
 		case wal.KindAvailability:
-			res = t.do(context.Background(), op{kind: opAvailability, replay: true, w: r.W})
+			res = t.do(op{kind: opAvailability, replay: true, w: r.W})
 		default:
 			return fmt.Errorf("seq %d: unknown record kind %q", r.Seq, r.Kind)
 		}
@@ -478,7 +477,7 @@ func (t *Tenant) loop() {
 // never applied, never logged) instead of racing the done channel, so a
 // graceful shutdown acks-or-sheds every accepted op deterministically.
 // Senders racing the quit close may still slip an op in after this drain;
-// they resolve through do's done-recheck to the same ErrTenantClosed.
+// they resolve through await's done-recheck to the same ErrTenantClosed.
 func (t *Tenant) drainOnClose() {
 	for {
 		select {
@@ -515,18 +514,19 @@ func (t *Tenant) applyAdmin(o op) {
 // have produced. On a WAL append failure the failing mutation is applied
 // but unlogged: the whole batch's snapshot is withheld so no reader ever
 // observes it, the remaining ops are rejected unapplied, and the tenant
-// goes read-only (ErrWALBroken). The log's failure handler rolls the
-// segment back to its durable prefix, so ops earlier in the batch are
-// acknowledged only if their records are inside that prefix (an inline
-// sync or a mid-batch auto-checkpoint made them durable); anything past
-// it — buffered records a manual-sync batch had not yet committed — is
-// re-marked ErrWALBroken before the replies, keeping acked ⇒ logged ⇒
-// fsynced exact. Acknowledged ops stay invisible until the restart
-// rebuilds exactly the logged state.
+// goes read-only (ErrWALBroken). After the appends the batch commits
+// through the server's commit scheduler, which fsyncs the log before any
+// reply. A failed append or commit round rolls the segment back to its
+// durable prefix, so ops of the batch are acknowledged only if their
+// records are inside that prefix (a mid-batch auto-checkpoint made them
+// durable); anything past it is re-marked ErrWALBroken before the
+// replies, keeping acked ⇒ logged ⇒ fsynced exact. Acknowledged ops stay
+// invisible until the restart rebuilds exactly the logged state.
 func (t *Tenant) applyBatch(ops []op) {
 	start := t.now()
 	results := t.results[:0]
-	walFailed := false
+	// walErr is the batch's first WAL failure (append or commit round).
+	var walErr error
 	anyApplied := false
 	appended := false
 	// Progress events are debug-level and guarded once per batch, so an
@@ -597,7 +597,7 @@ func (t *Tenant) applyBatch(ops []op) {
 					// The manager applied a mutation the log did not
 					// record: freeze the divergence at this one unacked op.
 					t.readOnly.Store(true)
-					walFailed = true
+					walErr = werr
 				} else {
 					res.seq = seq
 					appended = true
@@ -617,55 +617,37 @@ func (t *Tenant) applyBatch(ops []op) {
 		results = append(results, res)
 	}
 	t.mgr.Commit()
-	if t.gc != nil && appended && !walFailed {
-		// Group commit: the batch's appends are buffered, not yet durable.
-		// Hand the log to the shared scheduler and block until its fsync
-		// round completes — still strictly before the snapshot publish and
-		// the replies, so acked ⇒ logged ⇒ fsynced holds per op exactly as
-		// it does with inline syncs; only the fsync is shared.
-		if cerr := t.gc.commit(t.wal); cerr != nil {
-			// The round failed and the log rolled itself back to its
-			// durable prefix. Records at sequence numbers beyond that
-			// prefix are gone — their ops flip to ErrWALBroken (never
-			// acknowledged, absent after restart). Records at or below it
-			// were made durable earlier (a mid-batch auto-checkpoint) and
-			// their acks stand.
-			durable := t.wal.DurableSeq()
-			for i := range results {
-				if results[i].err == nil && results[i].seq > durable {
-					results[i].err = fmt.Errorf("%w (group commit failed: %v)", ErrWALBroken, cerr)
-				}
-			}
+	if appended && walErr == nil {
+		// The batch's appends are buffered, not yet durable. Hand the log
+		// to the commit scheduler and block until its fsync round completes
+		// — strictly before the snapshot publish and the replies, so acked
+		// ⇒ logged ⇒ fsynced holds per op; only the fsync is shared.
+		if walErr = t.gc.commit(t.wal); walErr != nil {
 			t.met.walErrors.Add(1)
 			t.readOnly.Store(true)
-			walFailed = true
 		} else if dbg {
 			t.log.LogAttrs(context.Background(), slog.LevelDebug, evCommit,
 				slog.Int("batch_ops", len(ops)),
 				slog.Uint64("durable_seq", t.wal.DurableSeq()))
 		}
 	}
-	if walFailed {
-		// A failed append rolled the log back to its durable prefix
-		// (wal fail), destroying not just the failing record but any
-		// earlier same-batch records still buffered — or spilled to the
-		// file but not yet fsynced — past that prefix. Their ops carry
-		// err==nil and a seq beyond the prefix: acknowledging them would
-		// violate acked ⇒ logged ⇒ fsynced (the mutations vanish on
-		// restart), so they flip to ErrWALBroken exactly like the failed
-		// commit round above. After a failed round this pass is a no-op:
-		// the cerr branch already re-marked everything past the prefix.
-		// Records at or below the prefix were made durable earlier (an
-		// inline sync or a mid-batch auto-checkpoint) and their acks
-		// stand.
+	if walErr != nil {
+		// The failed append or commit round rolled the log back to its
+		// durable prefix (wal fail), destroying every record of this batch
+		// past it — buffered, or spilled to the file but not yet fsynced.
+		// Their ops carry err==nil and a seq beyond the prefix:
+		// acknowledging them would violate acked ⇒ logged ⇒ fsynced (the
+		// mutations vanish on restart), so they flip to ErrWALBroken.
+		// Records at or below the prefix were made durable by a mid-batch
+		// auto-checkpoint and their acks stand.
 		durable := t.wal.DurableSeq()
 		for i := range results {
 			if results[i].err == nil && results[i].seq > durable {
-				results[i].err = fmt.Errorf("%w (a later append in the batch failed; this record was rolled back)", ErrWALBroken)
+				results[i].err = fmt.Errorf("%w (record rolled back: %v)", ErrWALBroken, walErr)
 			}
 		}
 	}
-	if anyApplied && !walFailed {
+	if anyApplied && walErr == nil {
 		t.snap.Store(t.mgr.Snapshot())
 		if dbg && !ops[0].replay {
 			t.log.LogAttrs(context.Background(), slog.LevelDebug, evPublish,
@@ -744,8 +726,8 @@ func (t *Tenant) logMutation(o op, res opResult) (uint64, error) {
 	t.sinceCkpt++
 	if t.ckptEvery > 0 && t.sinceCkpt >= t.ckptEvery {
 		// An auto-checkpoint failure is not the triggering mutation's
-		// problem: that mutation is applied and durably logged (under
-		// group commit: will be, before its ack). Count it and retry at
+		// problem: that mutation is applied and logged (and its batch's
+		// commit round fsyncs it before its ack). Count it and retry at
 		// the next append (sinceCkpt keeps growing); the log just stays
 		// longer than intended until a checkpoint lands.
 		if _, err := t.checkpointNow(); err != nil {
@@ -813,45 +795,120 @@ func (t *Tenant) checkpointNow() (CheckpointInfo, error) {
 	}, nil
 }
 
-// do routes one op through the event loop. Live mutations pass admission
-// control first: a read-only tenant rejects immediately; a deadline the
-// projected queue wait already overshoots sheds immediately (the op would
-// only expire in line); a full inbox sheds instead of blocking — the
-// pre-overload behaviour of parking the caller goroutine forever is
-// exactly the unbounded queue this layer removes. Replay and admin ops
-// keep the blocking enqueue: recovery owns the loop, and a checkpoint is
-// allowed to wait out a burst.
-//
-// Once enqueued, do always waits for the loop's definitive reply — it
-// never abandons on a context deadline, because the loop may be mid-apply
-// and "applied + logged but caller gave up" would break exactly-once
-// accounting: the loop itself sheds expired ops before apply and replies
-// so. The reply channel is buffered, so the loop's send cannot block (or
-// leak) even when the waiter has resolved through the closed done channel.
-func (t *Tenant) do(ctx context.Context, o op) opResult {
+// do routes one recovery-replay or admin op through the event loop. Live
+// mutations go through enqueue instead; do keeps the blocking send:
+// recovery owns the loop, and a checkpoint is allowed to wait out a burst.
+func (t *Tenant) do(o op) opResult {
 	o.reply = make(chan opResult, 1)
-	live := o.kind.mutates() && !o.replay
-	if live {
-		o.ctx = ctx
-		o.trace = traceFrom(ctx)
-		o.enq = t.now()
-		res, ok := t.admit(&o)
-		if !ok {
-			t.logTerminal(o, res)
-			return res
+	select {
+	case t.ops <- o:
+	case <-t.quit:
+		return opResult{err: ErrTenantClosed}
+	}
+	return t.await(o.reply)
+}
+
+// enqueue is the one admission path for live mutations: the single-op
+// endpoints pass a one-op slice, POST /ops the whole body. Admission is
+// decided once for all of ops (see refusal): a refused body enqueues
+// nothing, every op gets its own rejection, and the first one is
+// returned as err. Past admission, ops enqueue in order without
+// blocking: a full inbox sheds the op at hand (429 with Retry-After)
+// instead of parking the caller — the unbounded queue this layer
+// removes — and every enqueued op gets the loop's definitive reply.
+// Because the inbox is FIFO and this goroutine is the only sender of
+// these ops, they apply in slice order, and consecutive ops share a
+// replan cycle and a commit round whenever the loop drains them
+// together.
+//
+// Once enqueued, an op is never abandoned on a context deadline: the
+// loop may be mid-apply, and "applied + logged but caller gave up" would
+// break exactly-once accounting. The loop itself sheds expired ops before
+// apply and replies so. Every op, refused or answered, is settled exactly
+// once, so counters and the log see one traffic stream regardless of
+// wire shape.
+func (t *Tenant) enqueue(ctx context.Context, ops []op) ([]opResult, error) {
+	if len(ops) == 0 {
+		return nil, nil
+	}
+	trace, enq := traceFrom(ctx), t.now()
+	for i := range ops {
+		ops[i].ctx, ops[i].trace, ops[i].enq = ctx, trace, enq
+	}
+	results := make([]opResult, len(ops))
+	if refuse := t.refusal(ctx); refuse != nil {
+		for i := range ops {
+			results[i].err = refuse()
+			t.settle(ops[i], results[i])
 		}
-	} else {
+		return nil, results[0].err
+	}
+	dbg := t.log.Enabled(context.Background(), slog.LevelDebug)
+	for i := range ops {
+		ops[i].reply = make(chan opResult, 1)
 		select {
-		case t.ops <- o:
+		case t.ops <- ops[i]:
+			if dbg {
+				t.log.LogAttrs(context.Background(), slog.LevelDebug, evAdmit,
+					slog.String("trace", trace),
+					slog.String("kind", ops[i].kind.String()),
+					slog.String("id", appliedID(ops[i])),
+					slog.Int("queue_depth", len(t.ops)))
+			}
 		case <-t.quit:
-			return opResult{err: ErrTenantClosed}
+			results[i].err = ErrTenantClosed
+		default:
+			select {
+			// The inbox is full, but distinguish shutdown from overload:
+			// a closing tenant is 503, not 429.
+			case <-t.quit:
+				results[i].err = ErrTenantClosed
+			default:
+				results[i].err = t.shedQueueFull()
+			}
 		}
 	}
-	res := t.await(&o)
-	if live {
-		t.logTerminal(o, res)
+	// Replies arrive in enqueue order (FIFO inbox, in-order loop), so a
+	// sequential collect never waits on an op behind an unserved one. An
+	// op already holding an error was never enqueued.
+	for i := range ops {
+		if results[i].err == nil {
+			results[i] = t.await(ops[i].reply)
+		}
+		t.settle(ops[i], results[i])
 	}
-	return res
+	return results, nil
+}
+
+// refusal decides admission for a whole body at once: nil admits it;
+// otherwise the returned func builds each op's rejection. A read-only or
+// draining tenant refuses, and so does a deadline the projected queue
+// wait already overshoots — the ops would only expire in line. A
+// deadline refusal counts one shed per op.
+func (t *Tenant) refusal(ctx context.Context) func() error {
+	if t.readOnly.Load() {
+		return func() error { return ErrWALBroken }
+	}
+	if t.draining.Load() {
+		// The tenant is being removed at runtime: same contract as
+		// shutdown — the mutation was never enqueued, never applied.
+		return func() error { return ErrTenantClosed }
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		if wait := t.projectedWait(len(t.ops)); t.now().Add(wait).After(dl) {
+			reason := fmt.Sprintf("projected queue wait %v exceeds request deadline", wait)
+			return func() error { return t.shedDeadline(reason, wait) }
+		}
+	}
+	return nil
+}
+
+// single reads a one-op enqueue: a refused body is that op's answer.
+func single(results []opResult, err error) opResult {
+	if err != nil {
+		return opResult{err: err}
+	}
+	return results[0]
 }
 
 // ctxExpired reports whether ctx has ended, judging its deadline (if any)
@@ -881,58 +938,17 @@ func ctxExpired(ctx context.Context, now func() time.Time) bool {
 	}
 }
 
-// admit runs admission control for one live mutation and enqueues it.
-// ok=false means the op was rejected without being enqueued (the result
-// carries the shed/rejection error).
-func (t *Tenant) admit(o *op) (opResult, bool) {
-	if t.readOnly.Load() {
-		return opResult{err: ErrWALBroken}, false
-	}
-	if t.draining.Load() {
-		// The tenant is being removed at runtime: same contract as
-		// shutdown — the mutation was never enqueued, never applied.
-		return opResult{err: ErrTenantClosed}, false
-	}
-	if dl, ok := o.ctx.Deadline(); ok {
-		wait := t.projectedWait(len(t.ops))
-		if t.now().Add(wait).After(dl) {
-			return opResult{err: t.shedDeadline(
-				fmt.Sprintf("projected queue wait %v exceeds request deadline", wait), wait)}, false
-		}
-	}
+// await collects the loop's definitive reply for an enqueued op. The
+// reply channel is buffered, so the loop's send cannot block (or leak)
+// even when the waiter has resolved through the closed done channel.
+func (t *Tenant) await(reply chan opResult) opResult {
 	select {
-	case t.ops <- *o:
-	case <-t.quit:
-		return opResult{err: ErrTenantClosed}, false
-	default:
-		select {
-		// The inbox is full, but distinguish shutdown from overload:
-		// a closing tenant is 503, not 429.
-		case <-t.quit:
-			return opResult{err: ErrTenantClosed}, false
-		default:
-			return opResult{err: t.shedQueueFull()}, false
-		}
-	}
-	if t.log.Enabled(context.Background(), slog.LevelDebug) {
-		t.log.LogAttrs(context.Background(), slog.LevelDebug, evAdmit,
-			slog.String("trace", o.trace),
-			slog.String("kind", o.kind.String()),
-			slog.String("id", appliedID(*o)),
-			slog.Int("queue_depth", len(t.ops)))
-	}
-	return opResult{}, true
-}
-
-// await collects the loop's definitive reply for an enqueued op.
-func (t *Tenant) await(o *op) opResult {
-	select {
-	case res := <-o.reply:
+	case res := <-reply:
 		return res
 	case <-t.done:
 		// The loop exited after accepting but before serving the op.
 		select {
-		case res := <-o.reply:
+		case res := <-reply:
 			return res
 		default:
 			return opResult{err: ErrTenantClosed}
@@ -940,14 +956,29 @@ func (t *Tenant) await(o *op) opResult {
 	}
 }
 
-// logTerminal emits a live mutation's single terminal event: "shed" when
-// the op was rejected without a surviving, durable apply (overload,
-// deadline, tenant closed or draining, WAL broken), "reply" otherwise —
-// the loop's definitive answer, acks and domain errors alike. Exactly
-// one terminal event per live mutation is a contract the conformance
-// oracle checks: it correlates every ack and shed to one log line by
-// trace ID.
-func (t *Tenant) logTerminal(o op, res opResult) {
+// settle records a live mutation's outcome: its counter, and its single
+// terminal event. A success counts as a submit, revoke or availability
+// update; a failure counts in errors unless it is a shed (sheds have
+// their own counters and are expected under overload, not a fault). The
+// event is "shed" when the op was rejected without a surviving, durable
+// apply (overload, deadline, tenant closed or draining, WAL broken),
+// "reply" otherwise — the loop's definitive answer, acks and domain
+// errors alike. Exactly one terminal event per live mutation is a
+// contract the conformance oracle checks: it correlates every ack and
+// shed to one log line by trace ID.
+func (t *Tenant) settle(o op, res opResult) {
+	switch {
+	case res.err != nil:
+		if !errors.Is(res.err, ErrOverloaded) {
+			t.met.errors.Add(1)
+		}
+	case o.kind == opSubmit:
+		t.met.submits.Add(1)
+	case o.kind == opRevoke:
+		t.met.revokes.Add(1)
+	case o.kind == opAvailability:
+		t.met.drifts.Add(1)
+	}
 	ev, lvl := evReply, slog.LevelInfo
 	if err := res.err; err != nil &&
 		(errors.Is(err, ErrOverloaded) || errors.Is(err, ErrTenantClosed) || errors.Is(err, ErrWALBroken)) {
@@ -989,175 +1020,31 @@ type SubmitResult struct {
 // Submit admits a request through the event loop. ctx carries the
 // caller's deadline into admission control and the loop's pre-apply shed
 // check; Submit itself still waits for the loop's definitive answer (see
-// do).
+// enqueue).
 func (t *Tenant) Submit(ctx context.Context, d strategy.Request) (SubmitResult, error) {
-	res := t.do(ctx, op{kind: opSubmit, req: d})
+	res := single(t.enqueue(ctx, []op{{kind: opSubmit, req: d}}))
 	if res.err != nil {
-		t.noteMutationErr(res.err)
 		return SubmitResult{}, res.err
 	}
-	t.met.submits.Add(1)
 	return SubmitResult{Served: res.served, Epoch: res.epoch}, nil
 }
 
 // Revoke withdraws an open request through the event loop.
 func (t *Tenant) Revoke(ctx context.Context, id string) (uint64, error) {
-	res := t.do(ctx, op{kind: opRevoke, id: id})
+	res := single(t.enqueue(ctx, []op{{kind: opRevoke, id: id}}))
 	if res.err != nil {
-		t.noteMutationErr(res.err)
 		return 0, res.err
 	}
-	t.met.revokes.Add(1)
 	return res.epoch, nil
 }
 
 // SetAvailability moves the expected workforce through the event loop.
 func (t *Tenant) SetAvailability(ctx context.Context, w float64) (uint64, error) {
-	res := t.do(ctx, op{kind: opAvailability, w: w})
+	res := single(t.enqueue(ctx, []op{{kind: opAvailability, w: w}}))
 	if res.err != nil {
-		t.noteMutationErr(res.err)
 		return 0, res.err
 	}
-	t.met.drifts.Add(1)
 	return res.epoch, nil
-}
-
-// applyOps routes an ordered batch of live mutations through the event
-// loop — the engine behind POST /v1/tenants/{tenant}/ops. Admission runs
-// once for the whole batch: a read-only tenant, an already-expired
-// deadline, or a projected queue wait the deadline cannot absorb rejects
-// the batch as a unit (non-nil error, nothing enqueued, no partial
-// application). Past admission, ops enqueue in order with the same
-// non-blocking policy as single ops — an inbox that fills mid-batch
-// sheds the remaining ops individually (429 with Retry-After) rather
-// than blocking the ingest handler — and every enqueued op gets the
-// loop's definitive reply, exactly as do does. Because the inbox is
-// FIFO and this goroutine is the only sender of these ops, the batch
-// applies in body order; consecutive ops land in the same coalesced
-// replan cycle (and, under group commit, the same fsync round) whenever
-// the loop drains them together, which is the endpoint's point.
-func (t *Tenant) applyOps(ctx context.Context, ops []op) ([]opResult, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	if t.readOnly.Load() {
-		t.met.errors.Add(1)
-		return nil, t.logBatchShed(ctx, len(ops), ErrWALBroken)
-	}
-	if t.draining.Load() {
-		return nil, t.logBatchShed(ctx, len(ops), ErrTenantClosed)
-	}
-	if ctx != nil {
-		if ctxExpired(ctx, t.now) {
-			return nil, t.logBatchShed(ctx, len(ops),
-				t.shedDeadline("batch deadline expired before enqueue", t.projectedWait(len(t.ops))))
-		}
-		if dl, ok := ctx.Deadline(); ok {
-			wait := t.projectedWait(len(t.ops))
-			if t.now().Add(wait).After(dl) {
-				return nil, t.logBatchShed(ctx, len(ops), t.shedDeadline(
-					fmt.Sprintf("projected queue wait %v exceeds batch deadline", wait), wait))
-			}
-		}
-	}
-	trace := traceFrom(ctx)
-	enq := t.now()
-	dbg := t.log.Enabled(context.Background(), slog.LevelDebug)
-	results := make([]opResult, len(ops))
-	pending := make([]int, 0, len(ops))
-	for i := range ops {
-		ops[i].ctx = ctx
-		// Every op of the batch shares the request's trace ID; the per-op
-		// "id" attr disambiguates within the batch.
-		ops[i].trace = trace
-		ops[i].enq = enq
-		ops[i].reply = make(chan opResult, 1)
-		select {
-		case t.ops <- ops[i]:
-			pending = append(pending, i)
-			if dbg {
-				t.log.LogAttrs(context.Background(), slog.LevelDebug, evAdmit,
-					slog.String("trace", trace),
-					slog.String("kind", ops[i].kind.String()),
-					slog.String("id", appliedID(ops[i])),
-					slog.Int("queue_depth", len(t.ops)))
-			}
-		case <-t.quit:
-			results[i] = opResult{err: ErrTenantClosed}
-		default:
-			select {
-			case <-t.quit:
-				results[i] = opResult{err: ErrTenantClosed}
-			default:
-				results[i] = opResult{err: t.shedQueueFull()}
-			}
-		}
-	}
-	// Replies arrive in enqueue order (FIFO inbox, in-order loop), so a
-	// sequential collect never waits on an op behind an unserved one.
-	for _, i := range pending {
-		select {
-		case res := <-ops[i].reply:
-			results[i] = res
-		case <-t.done:
-			select {
-			case res := <-ops[i].reply:
-				results[i] = res
-			default:
-				results[i] = opResult{err: ErrTenantClosed}
-			}
-		}
-	}
-	// Per-op accounting feeds the same counters as the single-op paths,
-	// so dashboards see one traffic stream regardless of wire shape —
-	// and each op gets its terminal log event, same as a single op.
-	for i := range ops {
-		t.logTerminal(ops[i], results[i])
-		if err := results[i].err; err != nil {
-			t.noteMutationErr(err)
-			continue
-		}
-		switch ops[i].kind {
-		case opSubmit:
-			t.met.submits.Add(1)
-		case opRevoke:
-			t.met.revokes.Add(1)
-		case opAvailability:
-			t.met.drifts.Add(1)
-		}
-	}
-	t.met.ingestBatches.Add(1)
-	t.met.ingestBatchOps.Add(int64(len(ops)))
-	return results, nil
-}
-
-// logBatchShed emits the single terminal "shed" event for a batched
-// ingest rejected as a unit (read-only, draining, deadline) — nothing
-// was enqueued, so there are no per-op events to carry the trace. It
-// returns err unchanged so rejection sites stay one-line.
-func (t *Tenant) logBatchShed(ctx context.Context, n int, err error) error {
-	if !t.log.Enabled(context.Background(), slog.LevelWarn) {
-		return err
-	}
-	var trace string
-	if ctx != nil {
-		trace = traceFrom(ctx)
-	}
-	t.log.LogAttrs(context.Background(), slog.LevelWarn, evShed,
-		slog.String("trace", trace),
-		slog.String("kind", "batch"),
-		slog.Int("batch_ops", n),
-		slog.String("error", err.Error()))
-	return err
-}
-
-// noteMutationErr counts a failed mutation, keeping sheds out of the
-// generic error counter — they have dedicated counters and are expected
-// under overload, not a fault.
-func (t *Tenant) noteMutationErr(err error) {
-	if !errors.Is(err, ErrOverloaded) {
-		t.met.errors.Add(1)
-	}
 }
 
 // CheckpointInfo reports one tenant checkpoint's outcome.
@@ -1175,7 +1062,7 @@ type CheckpointInfo struct {
 // half-applied in it). Fails with ErrNoDurability when the server runs
 // without a data directory.
 func (t *Tenant) Checkpoint() (CheckpointInfo, error) {
-	res := t.do(context.Background(), op{kind: opCheckpoint})
+	res := t.do(op{kind: opCheckpoint})
 	if res.err != nil {
 		if !errors.Is(res.err, ErrNoDurability) {
 			t.met.errors.Add(1)

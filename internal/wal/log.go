@@ -23,23 +23,19 @@ var ErrSequence = errors.New("wal: broken record sequence")
 
 // Options tunes a Log.
 type Options struct {
-	// SyncEvery fsyncs the segment after every n-th appended record.
-	// The default (0 or 1) syncs every append: an acknowledged mutation
-	// is durable before the caller replies. Larger values batch fsyncs,
-	// trading the last <n records on a crash for append throughput.
-	SyncEvery int
-	// SyncManual disables the count-based fsync policy entirely: Append
-	// only buffers, and the owner decides when records become durable by
-	// calling Sync. This is the group-commit mode — the server's commit
-	// scheduler syncs once per coalesced batch (possibly shared across
-	// tenants), and the tenant loop acknowledges nothing before that
-	// Sync returns. SyncEvery is ignored when set.
+	// SyncManual makes Append only buffer: the owner decides when records
+	// become durable by calling Sync. The server opens every tenant log
+	// this way — its commit scheduler syncs once per coalesced batch
+	// (possibly shared across tenants), and the tenant loop acknowledges
+	// nothing before that Sync returns. Without it every Append fsyncs
+	// before it returns.
 	SyncManual bool
-	// TestSyncHook, when non-nil, runs at the start of every fsync batch,
+	// TestSyncHook, when non-nil, runs at the start of every fsync,
 	// before the buffered records are flushed to the file. Sleeping inside
-	// models fsync latency; returning an error fails the sync (and the
-	// append that triggered it) with the buffered record still unflushed —
-	// the log marks itself broken and Close discards the buffer, so the
+	// models fsync latency; returning an error fails the sync — the Sync
+	// call under SyncManual (the server's commit round), the triggering
+	// append otherwise — with the buffered records still unflushed: the
+	// log marks itself broken and rolls back to its durable prefix, so a
 	// failed record can never resurface at recovery. Fault-injection
 	// schedules for chaos/conformance testing hang off this hook;
 	// production configs leave it nil.
@@ -55,13 +51,6 @@ type Options struct {
 	// inside a manual-sync Append, so append-path failures need their
 	// own injection point. Production configs leave it nil.
 	TestWriteHook func() error
-}
-
-func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
-	}
-	return o
 }
 
 // Recovered is the result of scanning a tenant's log directory: the state
@@ -293,7 +282,7 @@ func Open(dir string, opts Options) (*Log, Recovered, error) {
 	if err != nil {
 		return nil, Recovered{}, err
 	}
-	l := &Log{dir: dir, opts: opts.withDefaults(), lock: lock}
+	l := &Log{dir: dir, opts: opts, lock: lock}
 	l.seq.Store(st.rec.LastSeq)
 	l.durableSeq.Store(st.rec.LastSeq)
 
@@ -370,10 +359,9 @@ func (l *Log) startSegment(firstSeq uint64) error {
 var errBroken = errors.New("wal: log is broken after an earlier append failure")
 
 // Append assigns the next sequence number, frames the record in the v3
-// binary encoding, writes it, and fsyncs according to Options.SyncEvery.
-// When Append returns with the sync boundary crossed, the record is
-// durable. Under Options.SyncManual nothing is fsynced here: the record
-// is durable only once a later Sync returns nil.
+// binary encoding and writes it. Without Options.SyncManual it also
+// fsyncs, so the record is durable when Append returns; under SyncManual
+// the record is durable only once a later Sync returns nil.
 func (l *Log) Append(rec Record) (uint64, error) {
 	rec.V = FormatVersion
 	rec.Seq = l.seq.Load() + 1
@@ -398,7 +386,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	l.seq.Store(rec.Seq)
 	l.appends.Add(1)
 	l.pending++
-	if !l.opts.SyncManual && l.pending >= l.opts.SyncEvery {
+	if !l.opts.SyncManual {
 		if err := l.sync(); err != nil {
 			return 0, err
 		}
@@ -406,10 +394,10 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	return rec.Seq, nil
 }
 
-// Sync flushes buffered records and fsyncs the segment. Under group
-// commit this is the commit point: the scheduler calls it once per
-// coalesced batch, and the tenant loop acknowledges the batch's
-// mutations only after it returns nil.
+// Sync flushes buffered records and fsyncs the segment. Under
+// Options.SyncManual this is the commit point: the server's commit
+// scheduler calls it once per coalesced batch, and the tenant loop
+// acknowledges the batch's mutations only after it returns nil.
 func (l *Log) Sync() error {
 	if l.broken {
 		return errBroken
@@ -546,9 +534,10 @@ func (l *Log) LastSeq() uint64 { return l.seq.Load() }
 
 // DurableSeq returns the last sequence number covered by a successful
 // fsync — records at or below it survive a crash; records above it are
-// buffered (or page-cached) only. Under the default sync policy it trails
-// LastSeq by at most the in-flight append; under manual sync (group
-// commit) by up to a whole coalesced batch. Safe from any goroutine.
+// buffered (or page-cached) only. Without Options.SyncManual it trails
+// LastSeq by at most the in-flight append; under SyncManual by everything
+// appended since the last Sync (in the server, up to a whole coalesced
+// batch). Safe from any goroutine.
 func (l *Log) DurableSeq() uint64 { return l.durableSeq.Load() }
 
 // Appends returns the number of records appended since Open. Safe from

@@ -42,21 +42,24 @@
 //
 // # Fault model
 //
-// Append durability is governed by Options.SyncEvery: with the default of
-// 1 every record is fsynced before Append returns, so an acknowledged
-// mutation is never lost; larger batches trade the tail of the batch for
-// throughput. Checkpoint writes go through a temp file, fsync, and
-// atomic rename, and segment deletion happens only after the checkpoint
-// is durable — a crash at any point leaves either the old
-// checkpoint+segments or the new ones, never neither.
+// By default every record is fsynced before Append returns. Under
+// Options.SyncManual a record is durable once the owner's next Sync
+// returns; the server acknowledges no mutation before the Sync of its
+// batch, so an acknowledged mutation is never lost. A failed append or
+// sync rolls the segment back to its durable prefix. Checkpoint writes go
+// through a temp file, fsync, and atomic rename, and segment deletion
+// happens only after the checkpoint is durable — a crash at any point
+// leaves either the old checkpoint+segments or the new ones, never
+// neither.
 //
 // # Ordering under coalesced replans
 //
 // The serving tenant loop drains up to a batch of pending mutations,
 // applies them through the stream manager and appends one record per
 // mutation, in apply order, before the batch's single snapshot publish
-// and before any reply is sent: acknowledged ⇒ logged (⇒ fsynced at the
-// default sync policy) holds per mutation regardless of batch size. Two
+// and before any reply is sent, and the batch's records are fsynced
+// together before the replies: acknowledged ⇒ logged ⇒ fsynced holds per
+// mutation regardless of batch size. Two
 // per-record integrity anchors survive coalescing because neither
 // depends on when the plan was repaired: Record.Epoch is the
 // pool-generation counter (exactly one step per applied mutation), and

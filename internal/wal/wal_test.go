@@ -398,22 +398,28 @@ func TestSequenceGapRejected(t *testing.T) {
 	}
 }
 
+// TestSyncBatching: under SyncManual each Sync makes everything appended
+// since the previous one durable in one fsync — the batch a commit round
+// covers — an idle Sync costs nothing, and every record recovers.
 func TestSyncBatching(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SyncEvery: 4})
+	l, _, err := Open(dir, Options{SyncManual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, l, 10, 0)
-	// 10 appends at batch 4 → syncs after records 4 and 8 only.
-	if got := l.Syncs(); got != 2 {
-		t.Fatalf("syncs = %d, want 2", got)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
+	// Batches of 4, 4 and 2 records, one explicit Sync each.
+	for i, n := range []int{4, 4, 2} {
+		from := uint64(4 * i)
+		appendN(t, l, n, from)
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := l.DurableSeq(), from+uint64(n); got != want {
+			t.Fatalf("batch %d: durable seq %d, want %d", i, got, want)
+		}
 	}
 	if got := l.Syncs(); got != 3 {
-		t.Fatalf("syncs after explicit Sync = %d, want 3", got)
+		t.Fatalf("syncs = %d, want 3 (one per batch)", got)
 	}
 	if err := l.Sync(); err != nil { // nothing pending: no extra fsync
 		t.Fatal(err)
@@ -428,7 +434,7 @@ func TestSyncBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LastSeq != 10 {
+	if got.LastSeq != 10 || len(got.Tail) != 10 {
 		t.Fatalf("batched log lost records: %+v", got)
 	}
 }
