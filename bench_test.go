@@ -246,7 +246,7 @@ func benchLoadServer(b *testing.B, strategies int) (*server.Server, *httptest.Se
 
 // BenchmarkServeSubmitRevoke times one submit+revoke round trip through
 // the full HTTP stack: JSON decode, event-loop hop, BatchStrat replan,
-// snapshot publish, JSON encode — twice. The open pool stays bounded, so
+// view publish, JSON encode — twice. The open pool stays bounded, so
 // per-op cost is the steady state, not pool growth.
 func BenchmarkServeSubmitRevoke(b *testing.B) {
 	_, hs := benchServer(b, 200)

@@ -7,8 +7,11 @@ import (
 // managerMutators are the stream.Manager methods that change manager
 // state. The Manager is not goroutine-safe: the tenant's single-writer
 // event loop owns it, and every other goroutine reads only the published
-// immutable snapshot.
+// immutable view. Publish and Snapshot count: publishing advances the
+// generation that decides which trie nodes the manager may still edit.
 var managerMutators = map[string]bool{
+	"Publish":         true,
+	"Snapshot":        true,
 	"Submit":          true,
 	"Resubmit":        true,
 	"Revoke":          true,

@@ -134,6 +134,20 @@ func (t *tenant) poison() {
 			want: regexp.MustCompile(`write to memory reachable from a stream\.Snapshot in poison`),
 		},
 		{
+			name:     "snapshotimmut/published-node-write",
+			analyzer: AnalyzerSnapshotImmut,
+			subdirs:  []string{"snapshotimmutclean"},
+			pkg:      "lintfix/snapshotimmutclean/stream",
+			file:     "snapshotimmutclean/stream/stream.go",
+			code: `
+func (m *Manager) flip(v *View) {
+	n := v.pool
+	n.slots[0].serving = true
+}
+`,
+			want: regexp.MustCompile(`write to memory reachable from a stream trie node in flip`),
+		},
+		{
 			name:     "walexhaustive/dropped-arm",
 			analyzer: AnalyzerWALExhaustive,
 			subdirs:  []string{"walexhaustiveclean"},

@@ -6,28 +6,35 @@ import (
 )
 
 // AnalyzerSnapshotImmut enforces the immutability of published
-// stream.Snapshot values.
+// stream.View and stream.Snapshot memory.
 var AnalyzerSnapshotImmut = &Analyzer{
 	Name: "snapshotimmut",
-	Doc: `snapshotimmut: memory reachable from a stream.Snapshot is never written.
+	Doc: `snapshotimmut: memory reachable from a stream.View or stream.Snapshot is never written.
 
-The event loop publishes *stream.Snapshot through an atomic pointer and
+The event loop publishes *stream.View through an atomic pointer and
 readers dereference it lock-free, with no happens-before edge beyond
-the publish. The only thing that makes that sound is that nobody writes
-snapshot memory after construction — a contract the race detector can
-only catch if a chaos run happens to interleave the write with a read.
+the publish. A View shares the manager's pool trie: its nodes, the
+requests' admission records and their Strategies slices, which every
+Snapshot built from it shares in turn. The only thing that makes that
+sound is that nobody writes published memory after construction — a
+contract the race detector can only catch if a chaos run happens to
+interleave the write with a read.
 
 This analyzer proves it at vet time, in the stream and server packages:
 any field store, slice/map element write, or increment whose base chain
-reaches a Snapshot — the snapshot itself, a field of it, or a local
-alias carrying a reference (slice, map, pointer) derived from one — is
-a diagnostic. Writes laundered through helpers are caught by a
-parameter-mutation fact: passing snapshot-reachable memory to a
-function that writes through that parameter (at any helper depth)
-flags the call. The one sanctioned writer is the constructor,
-(*stream.Manager).Snapshot, where the copies are made. Rebinding a
-variable (snap = other) and mutating a struct *value* copied out of a
-snapshot stay legal; so does building a fresh &Snapshot{...} literal.`,
+reaches published memory — a View, a Snapshot, a trie node, an
+admission record or a RequestState's shared Strategies slice, or a
+local alias carrying a reference (slice, map, pointer) derived from
+one — is a diagnostic. Writes laundered through helpers are caught by a
+parameter-mutation fact: passing published memory to a function that
+writes through that parameter (at any helper depth) flags the call. The
+sanctioned writers are the trie's path-copy constructors ((*node).put
+and (*node).remove, which edit only nodes no View has seen yet) and
+(*stream.View).Snapshot, which fills the Snapshot it returns. Rebinding
+a variable (snap = other) and mutating a struct *value* copied out of
+published memory stay legal, as long as the write does not reach
+through the copy's shared Strategies slice; so does building a fresh
+&Snapshot{...} literal.`,
 	Run: runSnapshotImmut,
 }
 
@@ -38,7 +45,7 @@ func runSnapshotImmut(pass *Pass) error {
 	g := buildCallGraph(pass)
 	mut := computeParamMutators(pass, g)
 	for _, n := range g.nodes {
-		if isSnapshotConstructor(n.fn) {
+		if isPublishedConstructor(n.fn) {
 			continue
 		}
 		checkSnapshotImmut(pass, g, n, mut)
@@ -46,49 +53,73 @@ func runSnapshotImmut(pass *Pass) error {
 	return nil
 }
 
-// isSnapshotConstructor matches the allowlisted construction site:
-// (*stream.Manager).Snapshot, the single writer that assembles the
-// copies before the pointer is published.
-func isSnapshotConstructor(fn *types.Func) bool {
-	return methodOn(fn, "Snapshot", "Manager", "stream")
+// isPublishedConstructor matches the allowlisted writers: the trie's
+// path-copy constructors and (*stream.View).Snapshot.
+func isPublishedConstructor(fn *types.Func) bool {
+	return methodOn(fn, "put", "node", "stream") ||
+		methodOn(fn, "remove", "node", "stream") ||
+		methodOn(fn, "Snapshot", "View", "stream")
 }
 
-// isSnapshotType reports whether t is stream.Snapshot or a pointer to
-// it (matching by name and package base so the testdata mimics behave
-// like the real package).
-func isSnapshotType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
+// publishedTypes describes the stream types whose memory a published
+// View reaches, by type name.
+var publishedTypes = map[string]string{
+	"View":      "stream.View",
+	"Snapshot":  "stream.Snapshot",
+	"node":      "stream trie node",
+	"admission": "stream admission record",
+}
+
+// streamTypeName returns the name of t, or of the type t points to, when
+// it is declared in a package named stream (matched by path base so the
+// testdata mimics behave like the real package), and "" otherwise.
+func streamTypeName(t types.Type) string {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok {
-		return false
+	if !ok || named.Obj().Pkg() == nil || pathBase(named.Obj().Pkg().Path()) != "stream" {
+		return ""
 	}
-	obj := named.Obj()
-	return obj.Name() == "Snapshot" && obj.Pkg() != nil && pathBase(obj.Pkg().Path()) == "stream"
+	return named.Obj().Name()
+}
+
+// publishedExpr describes e when its value is published memory: an
+// expression of a published type, or a RequestState's Strategies field,
+// which always aliases an admission record's slice.
+func publishedExpr(pass *Pass, e ast.Expr) string {
+	if tv, ok := pass.Info.Types[e]; ok {
+		if d := publishedTypes[streamTypeName(tv.Type)]; d != "" {
+			return d
+		}
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "Strategies" {
+		if tv, ok := pass.Info.Types[sel.X]; ok && streamTypeName(tv.Type) == "RequestState" {
+			return "shared RequestState.Strategies slice"
+		}
+	}
+	return ""
 }
 
 func checkSnapshotImmut(pass *Pass, g *callGraph, n *cgNode, mut map[*cgNode]map[int]bool) {
-	taint := make(map[types.Object]bool)
+	taint := make(map[types.Object]string)
+	report := func(e ast.Expr, what string) {
+		pass.Reportf(e.Pos(),
+			"write to memory reachable from a %s in %s: published views and snapshots are read lock-free and must never be mutated (only the trie's path-copy constructors and (*stream.View).Snapshot write them)",
+			what, n.decl.Name.Name)
+	}
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
-				if snapReachable(pass, taint, lhs, true) {
-					pass.Reportf(lhs.Pos(),
-						"write to memory reachable from a stream.Snapshot in %s: published snapshots are read lock-free and must never be mutated (only (*stream.Manager).Snapshot constructs them)",
-						n.decl.Name.Name)
+				if what := snapReachable(pass, taint, lhs, true); what != "" {
+					report(lhs, what)
 				}
 			}
 			updateTaint(pass, taint, x)
 		case *ast.IncDecStmt:
-			if snapReachable(pass, taint, x.X, true) {
-				pass.Reportf(x.X.Pos(),
-					"write to memory reachable from a stream.Snapshot in %s: published snapshots are read lock-free and must never be mutated (only (*stream.Manager).Snapshot constructs them)",
-					n.decl.Name.Name)
+			if what := snapReachable(pass, taint, x.X, true); what != "" {
+				report(x.X, what)
 			}
 		case *ast.CallExpr:
 			checkSnapshotEscape(pass, g, n, taint, x, mut)
@@ -98,11 +129,11 @@ func checkSnapshotImmut(pass *Pass, g *callGraph, n *cgNode, mut map[*cgNode]map
 }
 
 // updateTaint tracks local aliases: a variable assigned a reference
-// (slice, map, pointer) derived from snapshot memory inherits the
+// (slice, map, pointer) derived from published memory inherits the
 // taint; reassigning it to something else clears it. Struct value
 // copies (rs := snap.Requests[i]) carry no taint — the copy is the
-// caller's to mutate.
-func updateTaint(pass *Pass, taint map[types.Object]bool, as *ast.AssignStmt) {
+// caller's to mutate, except through its shared Strategies slice.
+func updateTaint(pass *Pass, taint map[types.Object]string, as *ast.AssignStmt) {
 	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}
@@ -118,51 +149,53 @@ func updateTaint(pass *Pass, taint map[types.Object]bool, as *ast.AssignStmt) {
 		if obj == nil {
 			continue
 		}
-		if derivesSnapshotRef(pass, taint, as.Rhs[i]) {
-			taint[obj] = true
+		if what := derivesSnapshotRef(pass, taint, as.Rhs[i]); what != "" {
+			taint[obj] = what
 		} else {
 			delete(taint, obj)
 		}
 	}
 }
 
-// derivesSnapshotRef reports whether rhs evaluates to a reference into
-// snapshot memory: a chain touching a Snapshot (or tainted alias) whose
-// own type is a pointer, slice, or map — or the address of such a chain.
-func derivesSnapshotRef(pass *Pass, taint map[types.Object]bool, rhs ast.Expr) bool {
+// derivesSnapshotRef describes the published memory rhs evaluates a
+// reference into: a chain touching published memory (or a tainted
+// alias) whose own type is a pointer, slice, or map — or the address of
+// such a chain. It returns "" for anything else.
+func derivesSnapshotRef(pass *Pass, taint map[types.Object]string, rhs ast.Expr) string {
 	e := ast.Unparen(rhs)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op.String() == "&" {
 		return snapReachable(pass, taint, u.X, false)
 	}
-	if !snapReachable(pass, taint, e, false) {
-		return false
+	what := snapReachable(pass, taint, e, false)
+	if what == "" {
+		return ""
 	}
 	tv, ok := pass.Info.Types[e]
 	if !ok {
-		return false
+		return ""
 	}
 	switch tv.Type.Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map:
-		return true
+		return what
 	}
-	return false
+	return ""
 }
 
 // snapReachable walks expr's selector/index/deref chain toward its
-// root, reporting whether it reaches snapshot memory. With write=true
-// at least one step is required (rebinding the variable itself is not a
-// write into the snapshot); with write=false the expression itself
-// counts too.
-func snapReachable(pass *Pass, taint map[types.Object]bool, expr ast.Expr, write bool) bool {
+// root and describes the published memory it reaches ("" when none).
+// With write=true at least one step is required (rebinding the variable
+// itself is not a write into published memory); with write=false the
+// expression itself counts too.
+func snapReachable(pass *Pass, taint map[types.Object]string, expr ast.Expr, write bool) string {
 	e := ast.Unparen(expr)
 	for peels := 0; ; peels++ {
 		if peels > 0 || !write {
-			if tv, ok := pass.Info.Types[e]; ok && isSnapshotType(tv.Type) {
-				return true
+			if what := publishedExpr(pass, e); what != "" {
+				return what
 			}
 			if id, ok := e.(*ast.Ident); ok {
-				if obj := pass.Info.Uses[id]; obj != nil && taint[obj] {
-					return true
+				if obj := pass.Info.Uses[id]; obj != nil && taint[obj] != "" {
+					return taint[obj]
 				}
 			}
 		}
@@ -171,7 +204,7 @@ func snapReachable(pass *Pass, taint map[types.Object]bool, expr ast.Expr, write
 			// A package-qualified name is a root, not a field chain.
 			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
 				if _, isPkg := pass.Info.Uses[id].(*types.PkgName); isPkg {
-					return false
+					return ""
 				}
 			}
 			e = ast.Unparen(x.X)
@@ -180,7 +213,7 @@ func snapReachable(pass *Pass, taint map[types.Object]bool, expr ast.Expr, write
 		case *ast.StarExpr:
 			e = ast.Unparen(x.X)
 		default:
-			return false
+			return ""
 		}
 	}
 }
@@ -319,11 +352,11 @@ func callArgs(pass *Pass, callee *cgNode, call *ast.CallExpr) map[int]ast.Expr {
 	return out
 }
 
-// checkSnapshotEscape flags a call that hands snapshot-reachable memory
-// to a function that writes through the receiving parameter.
-func checkSnapshotEscape(pass *Pass, g *callGraph, n *cgNode, taint map[types.Object]bool, call *ast.CallExpr, mut map[*cgNode]map[int]bool) {
+// checkSnapshotEscape flags a call that hands published memory to a
+// function that writes through the receiving parameter.
+func checkSnapshotEscape(pass *Pass, g *callGraph, n *cgNode, taint map[types.Object]string, call *ast.CallExpr, mut map[*cgNode]map[int]bool) {
 	callee := g.node(calleeOf(pass.Info, call))
-	if callee == nil || callee == n || isSnapshotConstructor(callee.fn) {
+	if callee == nil || callee == n || isPublishedConstructor(callee.fn) {
 		return
 	}
 	for slot, arg := range callArgs(pass, callee, call) {
@@ -334,10 +367,10 @@ func checkSnapshotEscape(pass *Pass, g *callGraph, n *cgNode, taint map[types.Ob
 		if u, ok := e.(*ast.UnaryExpr); ok && u.Op.String() == "&" {
 			e = u.X
 		}
-		if snapReachable(pass, taint, e, false) {
+		if what := snapReachable(pass, taint, e, false); what != "" {
 			pass.Reportf(arg.Pos(),
-				"call passes memory reachable from a stream.Snapshot to %s, which writes through it (published snapshots are read lock-free and must never be mutated)",
-				callee.fn.Name())
+				"call passes memory reachable from a %s to %s, which writes through it (published views and snapshots are read lock-free and must never be mutated)",
+				what, callee.fn.Name())
 		}
 	}
 }

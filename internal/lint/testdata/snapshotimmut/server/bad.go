@@ -1,5 +1,5 @@
 // Package server is the snapshotimmut flagging fixture: writes into
-// published snapshot memory, direct and laundered.
+// published view and snapshot memory, direct and laundered.
 package server
 
 import "lintfix/snapshotimmut/stream"
@@ -37,4 +37,22 @@ func scrubVia(rs *stream.RequestState) { scrub(rs) }
 
 func (t *tenant) handleScrub(snap *stream.Snapshot) {
 	scrubVia(&snap.Requests[0]) // want `passes memory reachable from a stream\.Snapshot to scrubVia, which writes through it`
+}
+
+// handleView bumps the epoch of a published view.
+func (t *tenant) handleView(v *stream.View) {
+	v.Epoch = 7 // want `write to memory reachable from a stream\.View in handleView`
+}
+
+// handleStrategies writes through a RequestState value copy into the
+// strategy slice it shares with the view.
+func (t *tenant) handleStrategies(v *stream.View) {
+	rs, _ := v.Request("a")
+	rs.Strategies[0] = 3 // want `write to memory reachable from a shared RequestState\.Strategies slice in handleStrategies`
+}
+
+// handleStrategiesAlias launders the same write through a local alias.
+func (t *tenant) handleStrategiesAlias(snap *stream.Snapshot) {
+	ks := snap.Requests[0].Strategies
+	ks[1] = 0 // want `write to memory reachable from a shared RequestState\.Strategies slice in handleStrategiesAlias`
 }

@@ -26,3 +26,13 @@ func peek(rs *stream.RequestState) bool { return rs.Serving }
 func (t *tenant) handlePeek(snap *stream.Snapshot) bool {
 	return peek(&snap.Requests[0])
 }
+
+// handleSummary reads a view's headline numbers and one request. The
+// RequestState is a copy: its own fields, Strategies included, may be
+// rebound.
+func (t *tenant) handleSummary(v *stream.View) (uint64, bool) {
+	rs, ok := v.Request("a")
+	rs.Serving = !rs.Serving
+	rs.Strategies = nil
+	return v.Epoch, ok && rs.Serving
+}

@@ -324,14 +324,14 @@ func (s *Server) handleTenants(w http.ResponseWriter, _ *http.Request) {
 		if err != nil {
 			continue // drained between the listing and the lookup
 		}
-		snap := t.snap.Load()
+		v := t.view.Load()
 		out = append(out, TenantInfo{
 			Name:         name,
 			Strategies:   t.ix.Len(),
-			Open:         len(snap.Requests),
-			Serving:      len(snap.Plan.Serving),
-			Epoch:        snap.Epoch,
-			Availability: snap.Availability,
+			Open:         v.Open,
+			Serving:      v.Serving,
+			Epoch:        v.Epoch,
+			Availability: v.Availability,
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -552,25 +552,26 @@ func batchErrResult(err error) BatchOpResult {
 }
 
 func handlePlan(t *Tenant, w http.ResponseWriter, r *http.Request) {
-	snap := t.Snapshot()
+	v := t.planView()
 	switch view := r.URL.Query().Get("view"); view {
 	case "", "full":
 	case "summary":
 		writeJSON(w, http.StatusOK, PlanSummaryResponse{
 			Tenant:       t.name,
-			Epoch:        snap.Epoch,
-			Availability: snap.Availability,
-			Objective:    snap.Plan.Objective,
-			Workforce:    snap.Plan.Workforce,
-			Open:         len(snap.Requests),
-			Serving:      len(snap.Plan.Serving),
-			Displaced:    len(snap.Plan.Displaced),
+			Epoch:        v.Epoch,
+			Availability: v.Availability,
+			Objective:    v.Objective,
+			Workforce:    v.Workforce,
+			Open:         v.Open,
+			Serving:      v.Serving,
+			Displaced:    v.Open - v.Serving,
 		})
 		return
 	default:
 		writeError(w, badRequest("unknown plan view %q (want \"full\" or \"summary\")", view))
 		return
 	}
+	snap := v.Snapshot()
 	resp := PlanResponse{
 		Tenant:       t.name,
 		Epoch:        snap.Epoch,
@@ -796,14 +797,14 @@ func (s *Server) tenantStatus(name string) TenantStatusResponse {
 	if err != nil {
 		return TenantStatusResponse{Name: name}
 	}
-	snap := t.snap.Load()
+	v := t.view.Load()
 	return TenantStatusResponse{
 		Name:         name,
 		Strategies:   t.ix.Len(),
-		Open:         len(snap.Requests),
-		Serving:      len(snap.Plan.Serving),
-		Epoch:        snap.Epoch,
-		Availability: snap.Availability,
+		Open:         v.Open,
+		Serving:      v.Serving,
+		Epoch:        v.Epoch,
+		Availability: v.Availability,
 		Health:       t.health(),
 		Draining:     t.draining.Load(),
 	}

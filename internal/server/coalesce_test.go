@@ -84,7 +84,7 @@ func waitQueued(t *testing.T, tn *Tenant, n int) {
 // mutations must be applied in a single replan cycle — two batches total,
 // K+1 ops — with per-op epochs still distinct and consecutive
 // (pool-generation semantics), and every reply arriving only after the
-// batch's snapshot publish (read-your-writes).
+// batch's view publish (read-your-writes).
 func TestCoalescedBatchDrainsQueue(t *testing.T) {
 	const k = 12
 	_, tn, gate, stalled := gateTenant(t, 32, "")
@@ -103,8 +103,8 @@ func TestCoalescedBatchDrainsQueue(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("q%02d", i)
 			res, err := tn.Submit(context.Background(), submitReq(id, 0.52))
-			// The reply is sent after the batch's snapshot publish: the
-			// published snapshot must already contain this submission.
+			// The reply is sent after the batch's view publish: the
+			// published view must already contain this submission.
 			if err == nil {
 				if _, ok := tn.Snapshot().Request(id); !ok {
 					t.Errorf("read-your-writes violated: %s missing after its ack", id)

@@ -92,7 +92,7 @@ const (
 	evApply      = "apply"      // loop applied the mutation (debug)
 	evAppend     = "append"     // WAL append done, seq assigned (debug)
 	evCommit     = "commit"     // group-commit round made the batch durable (debug)
-	evPublish    = "publish"    // snapshot published at epoch (debug)
+	evPublish    = "publish"    // view published at epoch (debug)
 	evReply      = "reply"      // terminal: definitive answer sent
 	evCheckpoint = "checkpoint" // checkpoint cut + WAL truncated
 	evRecovery   = "recovery"   // startup recovery finished

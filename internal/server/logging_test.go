@@ -359,23 +359,32 @@ func TestRefusedBodySettlesEachOp(t *testing.T) {
 		}}, []opRef{{"submit", "a"}, {"revoke", "a"}, {"availability", ""}}},
 	}
 	refusals := []struct {
-		name    string
-		status  int
-		refuse  func(*Tenant, *http.Request)
-		counter func(*tenantMetrics) int64
+		name   string
+		status int
+		refuse func(*Tenant, *http.Request)
+		// counters must each move once per op.
+		counters map[string]func(*tenantMetrics) int64
 	}{
 		{"read-only", http.StatusServiceUnavailable,
 			func(tn *Tenant, _ *http.Request) { tn.readOnly.Store(true) },
-			func(m *tenantMetrics) int64 { return m.errors.Value() }},
+			map[string]func(*tenantMetrics) int64{
+				"errors":           func(m *tenantMetrics) int64 { return m.errors.Value() },
+				"sheds_wal_broken": func(m *tenantMetrics) int64 { return m.shedsWALBroken.Value() },
+			}},
 		{"draining", http.StatusServiceUnavailable,
 			func(tn *Tenant, _ *http.Request) { tn.draining.Store(true) },
-			func(m *tenantMetrics) int64 { return m.errors.Value() }},
+			map[string]func(*tenantMetrics) int64{
+				"errors":       func(m *tenantMetrics) int64 { return m.errors.Value() },
+				"sheds_closed": func(m *tenantMetrics) int64 { return m.shedsClosed.Value() },
+			}},
 		{"deadline", http.StatusTooManyRequests,
 			func(tn *Tenant, r *http.Request) {
 				pinLatency(tn, 50*time.Millisecond)
 				r.Header.Set(DeadlineHeader, "1")
 			},
-			func(m *tenantMetrics) int64 { return m.shedsDeadline.Value() }},
+			map[string]func(*tenantMetrics) int64{
+				"sheds_deadline": func(m *tenantMetrics) int64 { return m.shedsDeadline.Value() },
+			}},
 	}
 	for _, rf := range refusals {
 		for _, sh := range shapes {
@@ -390,7 +399,10 @@ func TestRefusedBodySettlesEachOp(t *testing.T) {
 				trace := "refused-" + rf.name + "-" + sh.name
 				req.Header.Set(TraceHeader, trace)
 				rf.refuse(tn, req)
-				before := rf.counter(tn.met)
+				before := map[string]int64{}
+				for name, c := range rf.counters {
+					before[name] = c(tn.met)
+				}
 				resp, err := hs.Client().Do(req)
 				if err != nil {
 					t.Fatal(err)
@@ -399,8 +411,10 @@ func TestRefusedBodySettlesEachOp(t *testing.T) {
 				if resp.StatusCode != rf.status {
 					t.Fatalf("status %d, want one %d for the whole body", resp.StatusCode, rf.status)
 				}
-				if got := rf.counter(tn.met) - before; got != int64(len(sh.ops)) {
-					t.Errorf("counter moved by %d, want %d (one per op)", got, len(sh.ops))
+				for name, c := range rf.counters {
+					if got := c(tn.met) - before[name]; got != int64(len(sh.ops)) {
+						t.Errorf("%s moved by %d, want %d (one per op)", name, got, len(sh.ops))
+					}
 				}
 				terms := sink.terminals(trace)
 				if len(terms) != len(sh.ops) {

@@ -10,7 +10,7 @@ import (
 )
 
 // tenantMetrics is one tenant's expvar surface: operation counters plus
-// gauges computed from the latest snapshot. The vars live in a per-server
+// gauges read from the latest published view. The vars live in a per-server
 // expvar.Map rather than the process-global expvar registry, so multiple
 // servers (tests, embedded instances) never collide on variable names.
 type tenantMetrics struct {
@@ -25,9 +25,11 @@ type tenantMetrics struct {
 	// stage; ingestBatchOps the ops they carried (shed ones included —
 	// they are answered per op, not rejected wholesale).
 	ingestBatches, ingestBatchOps expvar.Int
-	// Overload sheds: mutations turned away by a full inbox vs. by a
-	// deadline the projected (or actual) queue wait overshot.
+	// Sheds by cause: a full inbox, a deadline the projected (or actual)
+	// queue wait overshot, a closed or draining tenant, and a broken WAL.
+	// The last two also count in errors.
 	shedsQueueFull, shedsDeadline expvar.Int
+	shedsClosed, shedsWALBroken   expvar.Int
 	// Durability counters (present only when the tenant has a WAL).
 	walErrors, checkpoints, checkpointErrors expvar.Int
 	recoveredRequests, recoveredTail         expvar.Int
@@ -50,6 +52,8 @@ func newTenantMetrics(t *Tenant) *tenantMetrics {
 	m.vars.Set("ingest_batch_ops", &m.ingestBatchOps)
 	m.vars.Set("sheds_queue_full", &m.shedsQueueFull)
 	m.vars.Set("sheds_deadline", &m.shedsDeadline)
+	m.vars.Set("sheds_closed", &m.shedsClosed)
+	m.vars.Set("sheds_wal_broken", &m.shedsWALBroken)
 	// Overload gauges: live inbox pressure and the batch-latency EWMA
 	// behind wait projections and Retry-After estimates.
 	m.vars.Set("queue_depth", expvar.Func(func() any { return len(t.ops) }))
@@ -58,12 +62,12 @@ func newTenantMetrics(t *Tenant) *tenantMetrics {
 		return t.batchLatency.get(0).Microseconds()
 	}))
 	m.vars.Set("read_only", expvar.Func(func() any { return t.readOnly.Load() }))
-	// Gauges read the atomically published snapshot, so they are safe
-	// from any goroutine and always consistent with what /plan serves.
-	m.vars.Set("epoch", expvar.Func(func() any { return t.snap.Load().Epoch }))
-	m.vars.Set("open_requests", expvar.Func(func() any { return len(t.snap.Load().Requests) }))
-	m.vars.Set("serving", expvar.Func(func() any { return len(t.snap.Load().Plan.Serving) }))
-	m.vars.Set("availability", expvar.Func(func() any { return t.snap.Load().Availability }))
+	// Gauges read the atomically published view, so they are safe from
+	// any goroutine and always consistent with what /plan serves.
+	m.vars.Set("epoch", expvar.Func(func() any { return t.view.Load().Epoch }))
+	m.vars.Set("open_requests", expvar.Func(func() any { return t.view.Load().Open }))
+	m.vars.Set("serving", expvar.Func(func() any { return t.view.Load().Serving }))
+	m.vars.Set("availability", expvar.Func(func() any { return t.view.Load().Availability }))
 	m.vars.Set("strategies", expvar.Func(func() any { return t.ix.Len() }))
 	if t.wal != nil {
 		w := new(expvar.Map).Init()

@@ -19,7 +19,7 @@ import (
 //	stratrec_errors_total{tenant}
 //	stratrec_coalesced_batches_total{tenant}  stratrec_coalesced_ops_total{tenant}
 //	stratrec_ingest_batches_total{tenant}     stratrec_ingest_batch_ops_total{tenant}
-//	stratrec_sheds_total{tenant,reason="queue_full"|"deadline"}
+//	stratrec_sheds_total{tenant,reason="queue_full"|"deadline"|"closed"|"wal_broken"}
 //	stratrec_queue_depth{tenant}              stratrec_queue_capacity{tenant}
 //	stratrec_batch_latency_seconds{tenant}    stratrec_read_only{tenant}
 //	stratrec_epoch{tenant}                    stratrec_open_requests{tenant}
@@ -118,7 +118,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 		func(t *Tenant) int64 { return t.met.planReads.Value() })
 	counter("stratrec_alternatives_total", "ADPaR alternative recommendations served.",
 		func(t *Tenant) int64 { return t.met.alternatives.Value() })
-	counter("stratrec_errors_total", "Failed operations (sheds excluded).",
+	counter("stratrec_errors_total", "Failed operations, closed and WAL-broken sheds included (queue-full and deadline sheds excluded).",
 		func(t *Tenant) int64 { return t.met.errors.Value() })
 	counter("stratrec_coalesced_batches_total", "Event-loop replan cycles over live mutations.",
 		func(t *Tenant) int64 { return t.met.batches.Value() })
@@ -133,10 +133,13 @@ func (s *Server) writePrometheus(w io.Writer) {
 	// without chasing name variants.
 	p.family("stratrec_sheds_total", "Mutations shed by admission control.", "counter")
 	for i, t := range tenants {
-		p.sample("stratrec_sheds_total",
-			[][2]string{{"tenant", names[i]}, {"reason", "queue_full"}}, t.met.shedsQueueFull.Value())
-		p.sample("stratrec_sheds_total",
-			[][2]string{{"tenant", names[i]}, {"reason", "deadline"}}, t.met.shedsDeadline.Value())
+		shed := func(reason string, n int64) {
+			p.sample("stratrec_sheds_total", [][2]string{{"tenant", names[i]}, {"reason", reason}}, n)
+		}
+		shed("queue_full", t.met.shedsQueueFull.Value())
+		shed("deadline", t.met.shedsDeadline.Value())
+		shed("closed", t.met.shedsClosed.Value())
+		shed("wal_broken", t.met.shedsWALBroken.Value())
 	}
 
 	gauge("stratrec_queue_depth", "Mutations waiting in the event-loop inbox.",
@@ -147,14 +150,14 @@ func (s *Server) writePrometheus(w io.Writer) {
 		func(t *Tenant) any { return t.batchLatency.get(0).Seconds() })
 	gauge("stratrec_read_only", "1 when the WAL circuit breaker has tripped.",
 		func(t *Tenant) any { return boolGauge(t.readOnly.Load()) })
-	gauge("stratrec_epoch", "Plan epoch of the published snapshot.",
-		func(t *Tenant) any { return t.snap.Load().Epoch })
-	gauge("stratrec_open_requests", "Open requests in the published snapshot.",
-		func(t *Tenant) any { return len(t.snap.Load().Requests) })
+	gauge("stratrec_epoch", "Plan epoch of the published view.",
+		func(t *Tenant) any { return t.view.Load().Epoch })
+	gauge("stratrec_open_requests", "Open requests in the published view.",
+		func(t *Tenant) any { return t.view.Load().Open })
 	gauge("stratrec_serving", "Requests the published plan serves.",
-		func(t *Tenant) any { return len(t.snap.Load().Plan.Serving) })
+		func(t *Tenant) any { return t.view.Load().Serving })
 	gauge("stratrec_availability", "Expected workforce availability.",
-		func(t *Tenant) any { return t.snap.Load().Availability })
+		func(t *Tenant) any { return t.view.Load().Availability })
 	gauge("stratrec_strategies", "Catalog strategies.",
 		func(t *Tenant) any { return t.ix.Len() })
 

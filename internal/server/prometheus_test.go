@@ -99,7 +99,8 @@ func lintPrometheus(t *testing.T, body io.Reader) map[string]string {
 
 // TestPrometheusEndpointLints: a loaded server's ?format=prometheus
 // output passes a strict exposition-format lint and carries the full
-// stable name vocabulary — core, WAL, pool and group-commit families.
+// stable name vocabulary — core, WAL, pool and group-commit families,
+// and every shed reason.
 func TestPrometheusEndpointLints(t *testing.T) {
 	cfg := Config{
 		Tenants: map[string]TenantConfig{
@@ -128,8 +129,17 @@ func TestPrometheusEndpointLints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("content type %q", ct)
 	}
-	families := lintPrometheus(t, resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := lintPrometheus(t, strings.NewReader(string(body)))
 
+	for _, reason := range []string{"queue_full", "deadline", "closed", "wal_broken"} {
+		if want := `stratrec_sheds_total{tenant="alpha",reason="` + reason + `"} `; !strings.Contains(string(body), want) {
+			t.Errorf("shed reason %s missing from exposition:\n%s", reason, grepLines(string(body), "stratrec_sheds_total"))
+		}
+	}
 	for _, want := range []string{
 		"stratrec_uptime_seconds", "stratrec_tenant_count",
 		"stratrec_submits_total", "stratrec_revokes_total",

@@ -8,8 +8,8 @@
 // single-writer event loop fed by a channel: mutations serialize per
 // tenant with no global lock, tenants never contend with each other, and
 // read traffic (plan queries, ADPaR alternatives) is served lock-free from
-// an atomically swapped immutable snapshot plus the tenant's shared warm
-// adpar.Index. Shutdown is graceful: the HTTP layer drains in-flight
+// an atomically swapped immutable stream.View plus the tenant's shared
+// warm adpar.Index. Shutdown is graceful: the HTTP layer drains in-flight
 // requests before the event loops stop.
 //
 // The load harness that replays synthetic Poisson workloads against a

@@ -41,7 +41,7 @@ type TenantConfig struct {
 	// 0 defaults to 32; 1 disables coalescing (one op per cycle).
 	Coalesce int
 	// OnApply, when non-nil, is invoked by the event loop after each
-	// mutation has been applied and (on success) the fresh snapshot
+	// mutation has been applied and (on success) the fresh view
 	// published, before the reply is sent. It runs on the loop goroutine
 	// itself — the tenant's single writer — so invocations are strictly
 	// sequential and ordered with the mutations they report. Deterministic
@@ -66,7 +66,7 @@ type AppliedOp struct {
 	// Epoch is the plan epoch after the mutation.
 	Epoch uint64
 	// Err is the mutation's outcome; nil means it was applied and a new
-	// snapshot is published.
+	// view is published.
 	Err error
 }
 
@@ -79,7 +79,7 @@ var ErrTenantClosed = errors.New("server: tenant closed")
 // applies, accepting further mutations would let memory and disk drift
 // arbitrarily far apart — and the divergent log would poison the next
 // recovery (sequence holes, epoch-trail mismatches). The tenant instead
-// goes read-only: reads keep serving the last published snapshot, writes
+// goes read-only: reads keep serving the last published view, writes
 // fail with 503 until the operator restarts the server (recovery then
 // rebuilds exactly the logged state).
 var ErrWALBroken = errors.New("server: write-ahead log failed; tenant is read-only until restart")
@@ -98,12 +98,12 @@ type durability struct {
 //
 // stream.Manager is not goroutine-safe, so every mutation (submit, revoke,
 // availability) is a message to the loop goroutine — the only writer —
-// rather than a lock acquisition. After each successful mutation the loop
-// publishes an immutable stream.Snapshot through an atomic pointer, and
-// all reads (plan queries, alternative recommendations) are served from
-// that snapshot plus the tenant's immutable warm adpar.Index without ever
-// touching the manager or blocking behind writers. Replies are sent after
-// the snapshot is stored, so a client observes its own writes.
+// rather than a lock acquisition. After each cycle that applied a
+// mutation the loop publishes an immutable stream.View through an atomic
+// pointer, and all reads (plan queries, alternative recommendations) are
+// served from that view plus the tenant's immutable warm adpar.Index
+// without ever touching the manager or blocking behind writers. Replies
+// are sent after the view is stored, so a client observes its own writes.
 type Tenant struct {
 	name    string
 	mgr     *stream.Manager
@@ -113,10 +113,10 @@ type Tenant struct {
 
 	// wal, when non-nil, is the tenant's write-ahead log: the loop
 	// appends every successful live mutation (after applying it, before
-	// publishing the snapshot and replying) and commits the batch through
+	// publishing the view and replying) and commits the batch through
 	// gc, so an acknowledged mutation is on disk and fsynced before the
 	// client sees the acknowledgement. On the first append failure the
-	// failing mutation's snapshot is withheld (readers never observe the
+	// failing mutation's view is withheld (readers never observe the
 	// unlogged write), readOnly trips, and the tenant rejects writes
 	// (ErrWALBroken) so memory can never advance past what the log
 	// recorded — which keeps the on-disk log recoverable.
@@ -165,7 +165,7 @@ type Tenant struct {
 	ops  chan op
 	quit chan struct{}
 	done chan struct{}
-	snap atomic.Pointer[stream.Snapshot]
+	view atomic.Pointer[stream.View]
 	// closeOnce makes close idempotent: a drained tenant may also be
 	// swept by Server.Close racing the drain.
 	closeOnce sync.Once
@@ -260,7 +260,7 @@ type opResult struct {
 // WAL (when durability is on) and starts the event loop. Recovery —
 // re-admitting the checkpointed pool and replaying the log tail — runs
 // through the event loop itself before newTenant returns, so by the time
-// the server exposes its handler the tenant's published snapshot is the
+// the server exposes its handler the tenant's published view is the
 // recovered state.
 func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, logger *slog.Logger, now func() time.Time) (*Tenant, error) {
 	if logger == nil {
@@ -324,7 +324,7 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 		recovered = rec
 	}
 	t.met = newTenantMetrics(t)
-	t.snap.Store(mgr.Snapshot())
+	t.view.Store(mgr.Publish())
 	go t.loop()
 	if t.wal != nil {
 		start := t.now()
@@ -431,7 +431,7 @@ func verifyFingerprint(wantReq float64, wantInfeasible bool, res opResult) error
 // exclusively. Each cycle drains up to Coalesce pending mutations from
 // the inbox and applies them as one deferred-replan batch: per op, the
 // manager mutation and its WAL append (apply order, acked ⇒ logged
-// preserved); per batch, one plan repair, one snapshot publish, and only
+// preserved); per batch, one plan repair, one view publish, and only
 // then the replies — so a client still observes its own write. Admin ops
 // (checkpoint, counter restore) never share a cycle with mutations.
 func (t *Tenant) loop() {
@@ -501,18 +501,18 @@ func (t *Tenant) applyAdmin(o op) {
 	}
 	res.epoch = t.mgr.Epoch()
 	if res.err == nil {
-		t.snap.Store(t.mgr.Snapshot())
+		t.view.Store(t.mgr.Publish())
 	}
 	o.reply <- res
 }
 
 // applyBatch applies a drained batch of mutations through the manager's
 // deferred-replan mode. The WAL append for each op happens immediately
-// after its apply — in apply order, before the batch's snapshot publish
-// and before any reply — so the acked ⇒ logged invariant and the
-// per-record epoch trail are exactly what a one-op-per-cycle loop would
-// have produced. On a WAL append failure the failing mutation is applied
-// but unlogged: the whole batch's snapshot is withheld so no reader ever
+// after its apply — in apply order, before the batch's view publish and
+// before any reply — so the acked ⇒ logged invariant and the per-record
+// epoch trail are exactly what a one-op-per-cycle loop would have
+// produced. On a WAL append failure the failing mutation is applied but
+// unlogged: the whole batch's view is withheld so no reader ever
 // observes it, the remaining ops are rejected unapplied, and the tenant
 // goes read-only (ErrWALBroken). After the appends the batch commits
 // through the server's commit scheduler, which fsyncs the log before any
@@ -620,7 +620,7 @@ func (t *Tenant) applyBatch(ops []op) {
 	if appended && walErr == nil {
 		// The batch's appends are buffered, not yet durable. Hand the log
 		// to the commit scheduler and block until its fsync round completes
-		// — strictly before the snapshot publish and the replies, so acked
+		// — strictly before the view publish and the replies, so acked
 		// ⇒ logged ⇒ fsynced holds per op; only the fsync is shared.
 		if walErr = t.gc.commit(t.wal); walErr != nil {
 			t.met.walErrors.Add(1)
@@ -648,7 +648,7 @@ func (t *Tenant) applyBatch(ops []op) {
 		}
 	}
 	if anyApplied && walErr == nil {
-		t.snap.Store(t.mgr.Snapshot())
+		t.view.Store(t.mgr.Publish())
 		if dbg && !ops[0].replay {
 			t.log.LogAttrs(context.Background(), slog.LevelDebug, evPublish,
 				slog.Uint64("epoch", t.mgr.Epoch()),
@@ -738,12 +738,13 @@ func (t *Tenant) logMutation(o op, res opResult) (uint64, error) {
 }
 
 // checkpointNow (loop goroutine only) freezes the manager state into a
-// durable checkpoint and truncates the WAL behind it. It is safe to run
+// durable checkpoint and truncates the WAL behind it, encoding the pool
+// straight from the manager in admission order. It is safe to run
 // mid-batch (an auto-checkpoint triggered between a batch's appends):
 // everything the checkpoint stores — pool membership, admission-cached
 // requirements, epoch, availability, submission counter — is independent
-// of the deferred plan repair, and the serving flags a mid-batch snapshot
-// might show stale are not persisted (recovery recomputes the plan).
+// of the deferred plan repair, and the serving flags it might read stale
+// are not persisted (recovery recomputes the plan).
 func (t *Tenant) checkpointNow() (CheckpointInfo, error) {
 	if t.wal == nil {
 		return CheckpointInfo{}, ErrNoDurability
@@ -756,14 +757,13 @@ func (t *Tenant) checkpointNow() (CheckpointInfo, error) {
 		// circuit breaker exists to protect.
 		return CheckpointInfo{}, fmt.Errorf("%w: checkpoint refused, memory holds an unlogged mutation", ErrWALBroken)
 	}
-	snap := t.mgr.Snapshot()
 	cp := wal.Checkpoint{
-		Epoch:        snap.Epoch,
-		Availability: snap.Availability,
+		Epoch:        t.mgr.Epoch(),
+		Availability: t.mgr.Availability(),
 		NextSub:      t.mgr.SubmissionCounter(),
-		Requests:     make([]wal.CheckpointRequest, 0, len(snap.Requests)),
+		Requests:     make([]wal.CheckpointRequest, 0, t.mgr.Open()),
 	}
-	for _, rs := range snap.Requests {
+	for rs := range t.mgr.Requests() {
 		cr := wal.CheckpointRequest{
 			ID:         rs.ID,
 			Quality:    rs.Request.Quality,
@@ -956,10 +956,12 @@ func (t *Tenant) await(reply chan opResult) opResult {
 	}
 }
 
-// settle records a live mutation's outcome: its counter, and its single
-// terminal event. A success counts as a submit, revoke or availability
-// update; a failure counts in errors unless it is a shed (sheds have
-// their own counters and are expected under overload, not a fault). The
+// settle records a live mutation's outcome: its counters, and its
+// single terminal event. A success counts as a submit, revoke or
+// availability update. A failure counts in errors unless it is an
+// overload shed (queue full or deadline: expected under load, not a
+// fault, and counted by shedQueueFull/shedDeadline); a closed-tenant or
+// WAL-broken shed counts in errors and in its own shed counter. The
 // event is "shed" when the op was rejected without a surviving, durable
 // apply (overload, deadline, tenant closed or draining, WAL broken),
 // "reply" otherwise — the loop's definitive answer, acks and domain
@@ -971,6 +973,12 @@ func (t *Tenant) settle(o op, res opResult) {
 	case res.err != nil:
 		if !errors.Is(res.err, ErrOverloaded) {
 			t.met.errors.Add(1)
+		}
+		switch {
+		case errors.Is(res.err, ErrTenantClosed):
+			t.met.shedsClosed.Add(1)
+		case errors.Is(res.err, ErrWALBroken):
+			t.met.shedsWALBroken.Add(1)
 		}
 	case o.kind == opSubmit:
 		t.met.submits.Add(1)
@@ -1072,22 +1080,29 @@ func (t *Tenant) Checkpoint() (CheckpointInfo, error) {
 	return res.ckpt, nil
 }
 
-// Snapshot returns the latest published plan snapshot — a lock-free read.
+// Snapshot builds the full Snapshot of the latest published view — a
+// lock-free read that costs O(n log n) in the open pool. Readers that need
+// only the headline numbers or one request use the view directly.
 func (t *Tenant) Snapshot() *stream.Snapshot {
+	return t.planView().Snapshot()
+}
+
+// planView returns the latest published view, counted as a plan read.
+func (t *Tenant) planView() *stream.View {
 	t.met.planReads.Add(1)
-	return t.snap.Load()
+	return t.view.Load()
 }
 
 // Alternative recommends ADPaR alternative parameters for an open request
 // the current plan does not serve. The call takes no locks — the request
-// is resolved against the latest snapshot and solved on the tenant's
+// is resolved against the latest view and solved on the tenant's
 // immutable warm index — but the CPU-heavy solve is throttled through the
 // server's query pool (when one is attached): a bounded number run
 // concurrently, a bounded number wait, and beyond that the query is shed
 // with ErrOverloaded. Plan reads and mutation acks are never behind the
 // pool. The returned RequestState is the one the solution was computed
 // for, so callers read K (and anything else) from it rather than
-// re-resolving the ID against a possibly newer snapshot.
+// re-resolving the ID against a possibly newer view.
 func (t *Tenant) Alternative(ctx context.Context, id string) (adpar.Solution, stream.RequestState, error) {
 	if t.pool != nil {
 		if err := t.pool.acquire(ctx); err != nil {
@@ -1098,7 +1113,7 @@ func (t *Tenant) Alternative(ctx context.Context, id string) (adpar.Solution, st
 	if t.faults != nil && t.faults.SolveDelay > 0 {
 		time.Sleep(t.faults.SolveDelay)
 	}
-	rs, ok := t.snap.Load().Request(id)
+	rs, ok := t.view.Load().Request(id)
 	if !ok {
 		t.met.errors.Add(1)
 		return adpar.Solution{}, rs, fmt.Errorf("%w: %s", stream.ErrUnknownID, id)

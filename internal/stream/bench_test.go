@@ -84,3 +84,63 @@ func BenchmarkRevokeOnly(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPublish measures what the tenant loop pays per cycle at three
+// pool sizes: one 32-op Begin/Commit cycle (16 submits, 16 revokes of
+// the oldest requests, so the pool holds its size) followed by Publish.
+// Beside it, snapshot times a cold View.Snapshot() over the same pool —
+// the full copy only a ?view=full read still builds.
+func BenchmarkPublish(b *testing.B) {
+	for _, n := range []int{500, 2000, 10000} {
+		gen := synth.DefaultConfig(synth.Uniform)
+		rng := rand.New(rand.NewSource(7))
+		set := gen.Strategies(rng, 200)
+		models := gen.Models(rng, set)
+		reqs := gen.Requests(rng, 4096, 3)
+		m, err := NewManager(set, models, workforce.MaxCase, batch.Throughput, 0.7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var open []string
+		next := 0
+		submit := func() {
+			d := reqs[next%len(reqs)]
+			d.ID = fmt.Sprintf("d%d", next)
+			next++
+			if _, err := m.Submit(d); err != nil {
+				b.Fatal(err)
+			}
+			open = append(open, d.ID)
+		}
+		for len(open) < n {
+			submit()
+		}
+		b.Run(fmt.Sprintf("cycle/pool=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				m.Begin()
+				for j := 0; j < 16; j++ {
+					submit()
+					if err := m.Revoke(open[0]); err != nil {
+						b.Fatal(err)
+					}
+					open = open[1:]
+				}
+				m.Commit()
+				published = m.Publish()
+			}
+		})
+		b.Run(fmt.Sprintf("snapshot/pool=%d", n), func(b *testing.B) {
+			v := m.Publish()
+			b.ReportAllocs()
+			for b.Loop() {
+				snapshot = v.Snapshot()
+			}
+		})
+	}
+}
+
+var (
+	published *View
+	snapshot  *Snapshot
+)

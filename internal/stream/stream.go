@@ -14,12 +14,20 @@
 // miss a pool change. Callers that queue events can wrap them in
 // Begin/Commit so the planner repairs once per batch instead of per
 // event.
+//
+// The open pool is a persistent hash trie (trie.go) that the manager
+// path-copies on write. Publish hands out an immutable View of it in
+// O(1), and the writes before it cost O(changed · log₃₂ n): readers on
+// other goroutines use Views lock-free while the manager moves on, and
+// a full Snapshot is built from a View only when a reader asks for one.
 package stream
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"stratrec/internal/adpar"
 	"stratrec/internal/batch"
@@ -51,22 +59,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("Event(%d)", int(e))
 }
 
-// Entry is one open request with its cached workforce requirement.
-type Entry struct {
-	ID      string
-	Request strategy.Request
-	Req     workforce.Requirement
-	// Seq is the manager's monotonic submission counter value assigned at
-	// admission — the reqIdx handed to the workforce.ModelProvider. It is
-	// unique across the manager's lifetime (never reused after a
-	// revocation, unlike a pool position) and preserved across crash
-	// recovery, so a provider with per-request rows never aliases two
-	// distinct live requests.
-	Seq uint64
-	// Serving reports whether the current plan serves this request.
-	Serving bool
-}
-
 // Manager maintains a deployment plan over a changing request pool. It
 // compiles the ADPaR serving index for its strategy set once at
 // construction and reuses it for every displaced-request alternative,
@@ -78,25 +70,31 @@ type Manager struct {
 	objective  batch.Objective
 	adparIdx   *adpar.Index
 
-	w       float64
-	entries map[string]*Entry
-	// order is the admission order, for deterministic iteration. Revoked
-	// slots become "" tombstones (compacted once they dominate) so a
-	// revoke never splices the slice; pos maps an open ID to its slot.
-	order   []string
-	pos     map[string]int
-	dead    int    // tombstone count in order
-	nextSeq uint64 // monotonic submission counter (Entry.Seq source)
-	epoch   uint64
+	w float64
+	// pool holds the open requests: a persistent hash trie keyed by ID
+	// (trie.go) whose nodes published Views share. gen stamps the nodes
+	// written since the last Publish, which alone may be edited in place.
+	pool    *node
+	gen     uint64
+	open    int // leaves in pool
+	serving int // leaves in pool whose serving bit is set
+	// admitted counts admissions; it is the next record's ordinal.
+	admitted uint64
+	nextSeq  uint64 // monotonic submission counter (admission seq source)
+	epoch    uint64
+	// objectiveSum and workforceSum are the committed plan's totals, read
+	// from the planner at each sync.
+	objectiveSum, workforceSum float64
 
 	// planner maintains the density-ordered feasible pool and repairs the
-	// greedy plan incrementally; items are keyed by the entry's submission
-	// sequence number (unique for the manager's lifetime, so ties in the
-	// density order break deterministically by admission). bySeq maps a
-	// planner item index back to its entry for serving-flag sync.
+	// greedy plan incrementally; items are keyed by the request's
+	// submission sequence number (unique for the manager's lifetime, so
+	// ties in the density order break deterministically by admission).
+	// bySeq maps a planner item index back to its admission record for
+	// serving-bit sync.
 	planner *batch.Planner
-	bySeq   map[int]*Entry
-	// batching defers the serving-flag sync (and the planner repair
+	bySeq   map[int]*admission
+	// batching defers the serving-bit sync (and the planner repair
 	// behind it) between Begin and Commit, so a drained batch of n events
 	// costs one repair.
 	batching bool
@@ -145,10 +143,10 @@ func NewManager(set strategy.Set, models workforce.ModelProvider, mode workforce
 		mode:       mode,
 		objective:  objective,
 		w:          initialW,
-		entries:    map[string]*Entry{},
-		pos:        map[string]int{},
+		pool:       &node{},
+		gen:        1,
 		planner:    batch.NewPlanner(initialW),
-		bySeq:      map[int]*Entry{},
+		bySeq:      map[int]*admission{},
 	}, nil
 }
 
@@ -180,7 +178,7 @@ func (m *Manager) RestoreCounters(epoch, nextSub uint64) {
 func (m *Manager) Availability() float64 { return m.w }
 
 // Open returns the number of open (non-revoked) requests.
-func (m *Manager) Open() int { return len(m.entries) }
+func (m *Manager) Open() int { return m.open }
 
 // Submit admits a request, computes and caches its workforce requirement,
 // and replans. It returns whether the new plan serves the request (inside
@@ -216,7 +214,8 @@ func (m *Manager) admit(d strategy.Request, seq uint64) (bool, error) {
 	if err := d.Validate(); err != nil {
 		return false, err
 	}
-	if _, exists := m.entries[d.ID]; exists {
+	h := hashID(d.ID)
+	if _, open := m.pool.get(h, d.ID); open {
 		return false, fmt.Errorf("%w: %s", ErrDuplicateID, d.ID)
 	}
 	if seq > uint64(math.MaxInt) {
@@ -227,25 +226,26 @@ func (m *Manager) admit(d strategy.Request, seq uint64) (bool, error) {
 	// which would alias per-request model rows between distinct live
 	// requests (and could index out of a FullModels matrix).
 	req := workforce.RequirementFor(d, seq, m.strategies, m.models, m.mode)
-	entry := &Entry{ID: d.ID, Request: d, Req: req, Seq: seq}
+	rec := &admission{id: d.ID, request: d, seq: seq, req: req, ord: m.admitted, hash: h}
 	if req.Feasible() {
 		// Infeasible requests can never be served at any availability and
 		// stay out of the planner pool entirely.
 		if err := m.planner.Insert(batch.Item{
 			Index:      int(seq),
-			Value:      m.value(entry),
+			Value:      m.value(rec),
 			Workforce:  req.Workforce,
 			Strategies: req.Strategies,
 		}); err != nil {
-			// Only reachable by a Resubmit reusing a live entry's sequence
-			// number (a corrupt recovery input); the pool is unchanged.
+			// Only reachable by a Resubmit reusing a live request's
+			// sequence number (a corrupt recovery input); the pool is
+			// unchanged.
 			return false, err
 		}
-		m.bySeq[int(seq)] = entry
+		m.bySeq[int(seq)] = rec
 	}
-	m.entries[d.ID] = entry
-	m.pos[d.ID] = len(m.order)
-	m.order = append(m.order, d.ID)
+	m.pool, _, _ = m.pool.put(m.gen, 0, leaf{rec: rec})
+	m.open++
+	m.admitted++
 	if seq >= m.nextSeq {
 		m.nextSeq = seq + 1
 	}
@@ -253,51 +253,32 @@ func (m *Manager) admit(d strategy.Request, seq uint64) (bool, error) {
 	if !m.batching {
 		m.sync()
 	}
-	return entry.Serving, nil
+	served, _ := m.Served(d.ID)
+	return served, nil
 }
 
 // Revoke withdraws an open request and replans; freed workforce may admit
-// previously displaced requests. The pool bookkeeping is O(1) amortized:
-// the request's admission slot (found through the ID→position index)
-// becomes a tombstone, and the order slice compacts only once tombstones
-// outnumber live slots.
+// previously displaced requests. Removing the request from the pool
+// trie costs O(log₃₂ n).
 func (m *Manager) Revoke(id string) error {
-	i, ok := m.pos[id]
+	pool, old, ok := m.pool.remove(m.gen, 0, hashID(id), id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownID, id)
 	}
-	e := m.entries[id]
-	delete(m.entries, id)
-	delete(m.pos, id)
-	m.order[i] = ""
-	m.dead++
-	if e.Req.Feasible() {
-		m.planner.Remove(int(e.Seq))
-		delete(m.bySeq, int(e.Seq))
+	m.pool = pool
+	m.open--
+	if old.serving {
+		m.serving--
 	}
-	if m.dead > 32 && m.dead*2 > len(m.order) {
-		m.compact()
+	if old.rec.req.Feasible() {
+		m.planner.Remove(int(old.rec.seq))
+		delete(m.bySeq, int(old.rec.seq))
 	}
 	m.epoch++
 	if !m.batching {
 		m.sync()
 	}
 	return nil
-}
-
-// compact rebuilds the order slice without tombstones, preserving
-// admission order, and refreshes the position index.
-func (m *Manager) compact() {
-	live := m.order[:0]
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		m.pos[id] = len(live)
-		live = append(live, id)
-	}
-	m.order = live
-	m.dead = 0
 }
 
 // SetAvailability moves the expected workforce and replans. Values outside
@@ -320,8 +301,8 @@ func (m *Manager) SetAvailability(w float64) error {
 // SetAvailability calls update the pool and advance the epoch but postpone
 // the planner repair and serving-flag sync until Commit, so a queued batch
 // of n events costs one plan repair instead of n. While a batch is open,
-// Submit's served return value and per-entry Serving flags reflect the
-// last committed plan; read them after Commit. Begin/Commit do not nest.
+// Submit's served return value and the serving flags reflect the last
+// committed plan; read them after Commit. Begin/Commit do not nest.
 func (m *Manager) Begin() { m.batching = true }
 
 // Commit leaves deferred-replan mode, repairs the plan once, and syncs
@@ -331,36 +312,48 @@ func (m *Manager) Commit() {
 	m.sync()
 }
 
-// sync repairs the planner and folds the changed selection statuses back
-// into the entries' Serving flags. Only entries whose status actually
-// changed are touched.
+// sync repairs the planner, rewrites the serving bit of every leaf whose
+// selection changed — only those — and records the plan's totals.
 func (m *Manager) sync() {
 	for _, idx := range m.planner.Changed() {
-		if e, ok := m.bySeq[idx]; ok {
-			e.Serving = m.planner.IsSelected(idx)
+		rec, ok := m.bySeq[idx]
+		if !ok {
+			continue // left the pool while selected
+		}
+		sel := m.planner.IsSelected(idx)
+		var old leaf
+		m.pool, old, _ = m.pool.put(m.gen, 0, leaf{rec: rec, serving: sel})
+		switch {
+		case sel && !old.serving:
+			m.serving++
+		case !sel && old.serving:
+			m.serving--
 		}
 	}
+	m.objectiveSum, m.workforceSum = m.planner.Objective(), m.planner.Workforce()
+}
+
+// lookup finds an open request's leaf.
+func (m *Manager) lookup(id string) (leaf, bool) {
+	return m.pool.get(hashID(id), id)
 }
 
 // Served reports the current plan's decision for an open request:
 // served=false, open=false for IDs not in the pool. Inside a Begin/Commit
 // batch the answer reflects the last committed plan.
 func (m *Manager) Served(id string) (served, open bool) {
-	e, ok := m.entries[id]
-	if !ok {
-		return false, false
-	}
-	return e.Serving, true
+	l, ok := m.lookup(id)
+	return l.serving, ok
 }
 
 // SubmissionSeq returns the submission sequence number of an open request
 // (the reqIdx its requirement was computed under).
 func (m *Manager) SubmissionSeq(id string) (uint64, bool) {
-	e, ok := m.entries[id]
+	l, ok := m.lookup(id)
 	if !ok {
 		return 0, false
 	}
-	return e.Seq, true
+	return l.rec.seq, true
 }
 
 // Requirement returns the cached aggregated workforce requirement of an
@@ -369,11 +362,25 @@ func (m *Manager) SubmissionSeq(id string) (uint64, bool) {
 // models, mode), so a recovered replay that computes anything different
 // was run against the wrong tenant universe.
 func (m *Manager) Requirement(id string) (workforce.Requirement, bool) {
-	e, ok := m.entries[id]
+	l, ok := m.lookup(id)
 	if !ok {
 		return workforce.Requirement{}, false
 	}
-	return e.Req, true
+	return l.rec.req, true
+}
+
+// Requests returns the open requests in admission order, read straight
+// from the pool without building a Snapshot — what a checkpoint
+// encodes. Serving flags are the last committed plan's. Like every other
+// method it is for the manager's single writer.
+func (m *Manager) Requests() iter.Seq[RequestState] {
+	return func(yield func(RequestState) bool) {
+		for _, l := range m.pool.admitted(m.open) {
+			if !yield(l.state()) {
+				return
+			}
+		}
+	}
 }
 
 // Plan is the current serving decision.
@@ -382,40 +389,26 @@ type Plan struct {
 	Serving []string
 	// Displaced lists open-but-unserved request IDs in admission order.
 	Displaced []string
-	// Objective is the achieved objective value over open requests.
+	// Objective is the achieved objective value over open requests and
+	// Workforce the plan's total workforce consumption, both summed by
+	// the planner's own additions — bit-identical to a fresh BatchStrat
+	// run over the open pool.
 	Objective float64
-	// Workforce is the plan's total workforce consumption.
 	Workforce float64
 }
 
-// Plan returns a snapshot of the current plan.
-func (m *Manager) Plan() Plan {
-	var p Plan
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		e := m.entries[id]
-		if e.Serving {
-			p.Serving = append(p.Serving, id)
-			p.Workforce += e.Req.Workforce
-			p.Objective += m.value(e)
-		} else {
-			p.Displaced = append(p.Displaced, id)
-		}
-	}
-	return p
-}
+// Plan returns the current plan: Snapshot().Plan.
+func (m *Manager) Plan() Plan { return m.Snapshot().Plan }
 
-// RequestState is one open request's frozen state inside a Snapshot.
+// RequestState is one open request's state inside a View or Snapshot.
 type RequestState struct {
 	ID      string
 	Request strategy.Request
-	// Seq is the request's submission sequence number (Entry.Seq):
-	// checkpoints persist it so recovery can re-admit the request under
-	// its original model row.
+	// Seq is the request's submission sequence number: checkpoints persist
+	// it so recovery can re-admit the request under its original model
+	// row.
 	Seq uint64
-	// Serving reports whether the snapshot's plan serves the request.
+	// Serving reports whether the plan serves the request.
 	Serving bool
 	// Feasible reports whether the request can be served at any
 	// availability (false when fewer than K strategies can ever satisfy
@@ -425,16 +418,66 @@ type RequestState struct {
 	// infeasible.
 	Workforce float64
 	// Strategies holds the K recommended strategy IDs (nil when
-	// infeasible).
+	// infeasible). The slice is shared with the request's admission
+	// record: read it, never write it.
 	Strategies []int
 }
 
-// Snapshot is a self-contained, immutable copy of the manager's state:
-// the plan, the availability, and every open request. A single-writer
-// event loop can publish one through an atomic pointer after each event so
-// that readers (plan queries, alternative serving) never touch the
-// manager. Everything reachable from a Snapshot is a copy; mutating the
-// manager afterwards does not affect it.
+// View is an immutable published state of a Manager: the plan's
+// headline numbers plus the open pool, shared with the manager rather
+// than copied. Publish returns one in O(1); the manager's later writes
+// copy the trie nodes they touch, so a View never changes. A
+// single-writer event loop stores one in an atomic pointer after each
+// cycle, and readers on any goroutine use it without locks.
+type View struct {
+	Epoch        uint64
+	Availability float64
+	// Open counts the open requests, Serving those the plan serves.
+	Open, Serving int
+	// Objective and Workforce are the plan's totals (see Plan).
+	Objective, Workforce float64
+
+	pool *node
+}
+
+// Publish freezes the manager's current state into a View. Nothing is
+// copied: the View shares the pool trie, and advancing the generation
+// makes the manager's next write to any shared node copy it instead.
+// Inside a Begin/Commit batch the serving flags and totals are the last
+// committed plan's. Writer only.
+func (m *Manager) Publish() *View {
+	m.gen++
+	return &View{
+		Epoch:        m.epoch,
+		Availability: m.w,
+		Open:         m.open,
+		Serving:      m.serving,
+		Objective:    m.objectiveSum,
+		Workforce:    m.workforceSum,
+		pool:         m.pool,
+	}
+}
+
+// Request returns the state of an open request by ID in O(log₃₂ n),
+// without allocating.
+//
+//lint:allocfree
+func (v *View) Request(id string) (RequestState, bool) {
+	if v == nil {
+		return RequestState{}, false
+	}
+	l, ok := v.pool.get(hashID(id), id)
+	if !ok {
+		return RequestState{}, false
+	}
+	return l.state(), true
+}
+
+// Snapshot is the full state of a View laid out for readers that walk
+// every open request: the plan with its ID lists, the availability, and
+// the requests in admission order. It is immutable like the View it was
+// built from, whose admission records (Strategies slices included) it
+// shares.
 type Snapshot struct {
 	Epoch        uint64
 	Availability float64
@@ -442,7 +485,7 @@ type Snapshot struct {
 	// Requests lists every open request in admission order.
 	Requests []RequestState
 
-	byID map[string]int // index into Requests
+	view *View // answers Request
 }
 
 // Request returns the state of an open request by ID.
@@ -450,56 +493,50 @@ func (s *Snapshot) Request(id string) (RequestState, bool) {
 	if s == nil {
 		return RequestState{}, false
 	}
-	i, ok := s.byID[id]
-	if !ok {
-		return RequestState{}, false
-	}
-	return s.Requests[i], true
+	return s.view.Request(id)
 }
 
-// Snapshot freezes the manager's current state. Like every other method it
-// must be called from the manager's single writer; the returned value is
-// then safe to hand to any number of concurrent readers.
-func (m *Manager) Snapshot() *Snapshot {
+// Snapshot builds the view's full Snapshot in O(n log n). It is the one
+// place a Snapshot is built.
+func (v *View) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Epoch:        m.epoch,
-		Availability: m.w,
-		Plan:         m.Plan(),
-		Requests:     make([]RequestState, 0, len(m.order)),
-		byID:         make(map[string]int, len(m.order)),
+		Epoch:        v.Epoch,
+		Availability: v.Availability,
+		Plan:         Plan{Objective: v.Objective, Workforce: v.Workforce},
+		Requests:     make([]RequestState, 0, v.Open),
+		view:         v,
 	}
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		e := m.entries[id]
-		rs := RequestState{
-			ID:        id,
-			Request:   e.Request,
-			Seq:       e.Seq,
-			Serving:   e.Serving,
-			Feasible:  e.Req.Feasible(),
-			Workforce: e.Req.Workforce,
-		}
-		if len(e.Req.Strategies) > 0 {
-			rs.Strategies = append([]int(nil), e.Req.Strategies...)
-		}
-		s.byID[id] = len(s.Requests)
+	if v.Serving > 0 {
+		s.Plan.Serving = make([]string, 0, v.Serving)
+	}
+	if v.Open > v.Serving {
+		s.Plan.Displaced = make([]string, 0, v.Open-v.Serving)
+	}
+	for _, l := range v.pool.admitted(v.Open) {
+		rs := l.state()
 		s.Requests = append(s.Requests, rs)
+		if rs.Serving {
+			s.Plan.Serving = append(s.Plan.Serving, rs.ID)
+		} else {
+			s.Plan.Displaced = append(s.Plan.Displaced, rs.ID)
+		}
 	}
 	return s
 }
 
+// Snapshot publishes the manager's current state and builds its full
+// Snapshot: Publish().Snapshot(). Writer only; the result is safe to
+// hand to any number of concurrent readers.
+func (m *Manager) Snapshot() *Snapshot { return m.Publish().Snapshot() }
+
 // Strategies returns the k recommended strategies of a served request, or
 // nil if the request is not currently served.
 func (m *Manager) Strategies(id string) []int {
-	e, ok := m.entries[id]
-	if !ok || !e.Serving {
+	l, ok := m.lookup(id)
+	if !ok || !l.serving {
 		return nil
 	}
-	out := make([]int, len(e.Req.Strategies))
-	copy(out, e.Req.Strategies)
-	return out
+	return slices.Clone(l.rec.req.Strategies)
 }
 
 // ErrServed reports that an alternative was requested for a request the
@@ -513,18 +550,18 @@ var ErrServed = errors.New("stream: request is served; no alternative needed")
 // per-request cost is the sweep alone, with no per-event re-derivation of
 // the normalized problem.
 func (m *Manager) Alternative(id string) (adpar.Solution, error) {
-	e, ok := m.entries[id]
+	l, ok := m.lookup(id)
 	if !ok {
 		return adpar.Solution{}, fmt.Errorf("%w: %s", ErrUnknownID, id)
 	}
-	if e.Serving {
+	if l.serving {
 		return adpar.Solution{}, fmt.Errorf("%w: %s", ErrServed, id)
 	}
 	ix, err := m.Index()
 	if err != nil {
 		return adpar.Solution{}, err
 	}
-	return ix.Solve(e.Request)
+	return ix.Solve(l.rec.request)
 }
 
 // Index returns the manager's shared ADPaR serving index, compiling it on
@@ -557,9 +594,9 @@ func (m *Manager) AttachIndex(ix *adpar.Index) error {
 	return nil
 }
 
-func (m *Manager) value(e *Entry) float64 {
+func (m *Manager) value(r *admission) float64 {
 	if m.objective == batch.Payoff {
-		return e.Request.Cost
+		return r.request.Cost
 	}
 	return 1
 }

@@ -56,7 +56,7 @@
 //
 // The serving tenant loop drains up to a batch of pending mutations,
 // applies them through the stream manager and appends one record per
-// mutation, in apply order, before the batch's single snapshot publish
+// mutation, in apply order, before the batch's single view publish
 // and before any reply is sent, and the batch's records are fsynced
 // together before the replies: acknowledged ⇒ logged ⇒ fsynced holds per
 // mutation regardless of batch size. Two
