@@ -24,9 +24,10 @@ import (
 // torn tail. With -verify the tenant catalogs are materialized (the same
 // -tenants / demo flags `serve` uses — recovery is only meaningful
 // against the catalogs the log was written under), the full recovery
-// path runs (checkpoint re-admission + tail replay through the tenant
-// event loops, with the per-record epoch trail verified), and the
-// recovered plan is printed. -verify opens the logs exactly like serve:
+// path runs (checkpoint re-admission + tail replay inside server.New,
+// before the tenant event loops start, with the per-record epoch trail
+// and requirement fingerprints verified), and the recovered plan is
+// printed. -verify opens the logs exactly like serve:
 // a torn tail is repaired (truncated) on open.
 func runRecover(args []string) error {
 	fs := flag.NewFlagSet("recover", flag.ContinueOnError)

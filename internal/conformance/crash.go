@@ -2,16 +2,20 @@ package conformance
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"stratrec/internal/server"
+	"stratrec/internal/wal"
 )
 
 // CrashConfig tunes a crash-recovery conformance run (RunCrash).
@@ -27,9 +31,10 @@ type CrashConfig struct {
 	// tail replay; negative defaults to Cut/2, and any value >= Cut
 	// disables the checkpoint.
 	CheckpointAt int
-	// TornTail, when set, appends a garbage partial record to every
-	// tenant's live segment between kill and restart — the torn write an
-	// interrupted append leaves — which recovery must truncate away.
+	// TornTail, when set, appends a cut v3 binary frame to every tenant's
+	// live segment between kill and restart — the torn write an
+	// interrupted append leaves — which recovery must truncate away,
+	// reporting exactly the injected bytes in torn_bytes_truncated.
 	TornTail bool
 	// ViaBatch routes every mutation through the batched ingest endpoint
 	// as a one-op batch (see RunConfig.ViaBatch), proving batch-ingested
@@ -206,15 +211,16 @@ func RunCrash(tr Trace, cfg CrashConfig) (CrashResult, error) {
 		return res, nil
 	}
 
+	var torn int
 	if cfg.TornTail {
-		if err := injectTornTails(dataDir); err != nil {
+		if torn, err = injectTornTails(dataDir); err != nil {
 			keep = true
 			return res, err
 		}
 	}
 
-	// --- Restart: recovery from checkpoint + tail through the real
-	// tenant event loops ---
+	// --- Restart: recovery from checkpoint + tail inside server.New,
+	// before the tenant event loops start ---
 	start := time.Now() //lint:allow clockdiscipline -- RecoveryDuration reports real restart latency to the operator
 	s2, err := server.New(srvCfg)
 	res.RecoveryDuration = time.Since(start) //lint:allow clockdiscipline -- RecoveryDuration reports real restart latency to the operator
@@ -249,6 +255,30 @@ func RunCrash(tr Trace, cfg CrashConfig) (CrashResult, error) {
 		if compare(cut, ev, m, rcfg, exp, obs, &res.Result, diverge) {
 			keep = true
 			return res, nil
+		}
+	}
+	if cfg.TornTail {
+		// Recovery must have truncated exactly the injected bytes.
+		var m struct {
+			Tenants map[string]struct {
+				WAL struct {
+					TornBytes int `json:"torn_bytes_truncated"`
+				} `json:"wal"`
+			} `json:"tenants"`
+		}
+		metrics := httptest.NewRecorder()
+		s2.Handler().ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if err := json.Unmarshal(metrics.Body.Bytes(), &m); err != nil {
+			keep = true
+			return res, fmt.Errorf("conformance: decoding recovered metrics: %w", err)
+		}
+		for _, name := range names {
+			res.Checks++
+			if got := m.Tenants[name].WAL.TornBytes; got != torn &&
+				diverge(cut, Event{Tenant: name, Kind: KindPlan}, "wal.torn_bytes_truncated", strconv.Itoa(torn), strconv.Itoa(got)) {
+				keep = true
+				return res, nil
+			}
 		}
 	}
 
@@ -320,12 +350,15 @@ func postCheckpoint(d *driver) error {
 	return nil
 }
 
-// injectTornTails appends a garbage partial record to the live segment of
-// every tenant directory under root.
-func injectTornTails(root string) error {
+// injectTornTails appends a torn record to the live segment of every
+// tenant directory under root, the bytes a crash mid-append leaves: a v3
+// binary frame cut short. It returns how many bytes each tenant got.
+func injectTornTails(root string) (int, error) {
+	frame := wal.AppendRecordBinary(nil, wal.Record{Kind: wal.KindRevoke, ID: "torn"})
+	torn := frame[:len(frame)-3]
 	tenants, err := os.ReadDir(root)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, te := range tenants {
 		if !te.IsDir() {
@@ -334,7 +367,7 @@ func injectTornTails(root string) error {
 		dir := filepath.Join(root, te.Name())
 		entries, err := os.ReadDir(dir)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		var last string
 		for _, e := range entries {
@@ -347,15 +380,15 @@ func injectTornTails(root string) error {
 		}
 		f, err := os.OpenFile(filepath.Join(dir, last), os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if _, err := f.WriteString(`00bad000 {"v":1,"seq":999999,"kind":"sub`); err != nil {
+		if _, err := f.Write(torn); err != nil {
 			f.Close()
-			return err
+			return 0, err
 		}
 		if err := f.Close(); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return len(torn), nil
 }

@@ -24,23 +24,21 @@ var managerMutators = map[string]bool{
 
 // loopRoots are unconditionally loop-owned: tenant construction (the
 // loop goroutine has not started yet, so the constructor is the sole
-// writer) and the event loop itself.
+// writer, recovery included) and the event loop itself.
 var loopRoots = map[string]bool{
 	"newTenant": true,
 	"loop":      true,
 }
 
-// loopOwnerNames are the loop's sanctioned apply/recovery entry points.
-// Unlike PR 9's name-only allowlist they are owned *conditionally*: a
-// call to applyBatch from an HTTP handler strips its ownership, because
-// that call runs the mutation concurrently with the event loop — the
-// exact race the allowlist existed to prevent. With no in-package
-// callers they stay owned (whole-program analysis is per package; the
-// loop dispatches to them via the op channel, invisibly to the graph).
+// loopOwnerNames are the loop's sanctioned apply entry points. They are
+// owned *conditionally*: a call to applyBatch from an HTTP handler strips
+// its ownership, because that call runs the mutation concurrently with
+// the event loop — the exact race the allowlist exists to prevent. With
+// no in-package callers they stay owned (whole-program analysis is per
+// package). Recovery needs no entry: restore's only caller is newTenant,
+// a root, so it inherits ownership like any helper.
 var loopOwnerNames = map[string]bool{
-	"applyAdmin": true,
 	"applyBatch": true,
-	"restore":    true,
 }
 
 // AnalyzerLoopSafety enforces single-writer ownership of stream.Manager.
@@ -50,14 +48,16 @@ var AnalyzerLoopSafety = &Analyzer{
 
 stream.Manager is not goroutine-safe. Its mutating methods (Submit,
 Resubmit, Revoke, SetAvailability, RestoreCounters, Begin, Commit,
-AttachIndex) may be called only from code the tenant event loop owns.
-Ownership is computed over the package call graph: newTenant and loop
-are owned by construction; applyAdmin, applyBatch, and restore are
-owned while every call to them comes from owned code; and a helper is
-owned exactly when all of its callers are. A mutator call anywhere
-else — an HTTP handler, a pool worker, a goroutine launched with go,
-or a helper those can reach — is a data race with the event loop, and
-the diagnostic shows the call chain that leaks the mutation out.`,
+AttachIndex, and Publish/Snapshot, which advance the trie generation)
+may be called only from code the tenant event loop owns.
+Ownership is computed over the package call graph: newTenant (which
+recovers the tenant before starting its loop) and loop are owned by
+construction; applyBatch is owned while every call to it comes from
+owned code; and a helper is owned exactly when all of its callers are.
+A mutator call anywhere else — an HTTP handler, a pool worker, a
+goroutine launched with go, or a helper those can reach — is a data
+race with the event loop, and the diagnostic shows the call chain that
+leaks the mutation out.`,
 	Run: runLoopSafety,
 }
 

@@ -5,9 +5,9 @@ package server
 
 import "lintfix/loopsafety/stream"
 
-// adminReset models an HTTP handler entering an owner-named function
-// through a helper: restore's name used to make it unconditionally
-// legal, but this chain runs it concurrently with the event loop.
+// adminReset models an HTTP handler entering recovery's restore through
+// a helper: this chain runs it concurrently with the event loop, so
+// restore inherits no ownership.
 func (t *tenant) adminReset(w float64) error {
 	return t.restoreHelper(w)
 }

@@ -8,9 +8,12 @@ type tenant struct {
 	mgr *stream.Manager
 }
 
-func newTenant(id string) (*tenant, error) {
+func newTenant(id string, w float64) (*tenant, error) {
 	t := &tenant{mgr: &stream.Manager{}}
 	if err := t.mgr.Submit(id); err != nil {
+		return nil, err
+	}
+	if err := t.restore(w); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -34,6 +37,8 @@ func (t *tenant) applyOne(id string) error {
 	return t.mgr.Submit(id)
 }
 
+// restore is not on the owner allowlist: it mutates because its only
+// caller is newTenant, which owns the manager until the loop starts.
 func (t *tenant) restore(w float64) error {
 	return t.mgr.SetAvailability(w)
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"stratrec/internal/batch"
 	"stratrec/internal/strategy"
 	"stratrec/internal/stream"
 	"stratrec/internal/wal"
@@ -21,7 +22,9 @@ import (
 
 // snapshotsEqual diffs two tenant snapshots field by field, the same
 // observables the HTTP plan endpoint serves plus the submission sequence
-// numbers recovery must preserve.
+// numbers recovery must preserve. The plan totals must match bit for bit:
+// a recovery that repairs the plan once must land on the float sums the
+// original run's per-batch repairs produced.
 func snapshotsEqual(t *testing.T, want, got *stream.Snapshot) {
 	t.Helper()
 	if got.Epoch != want.Epoch {
@@ -53,6 +56,12 @@ func snapshotsEqual(t *testing.T, want, got *stream.Snapshot) {
 	}
 	if len(got.Plan.Serving) != len(want.Plan.Serving) {
 		t.Errorf("serving: want %v, got %v", want.Plan.Serving, got.Plan.Serving)
+	}
+	if math.Float64bits(got.Plan.Objective) != math.Float64bits(want.Plan.Objective) {
+		t.Errorf("plan objective: want %v, got %v", want.Plan.Objective, got.Plan.Objective)
+	}
+	if math.Float64bits(got.Plan.Workforce) != math.Float64bits(want.Plan.Workforce) {
+		t.Errorf("plan workforce: want %v, got %v", want.Plan.Workforce, got.Plan.Workforce)
 	}
 }
 
@@ -88,7 +97,7 @@ func mutationMix(n int, seed int64) []op {
 
 // driveMutations applies mutationMix(n, seed) one op per enqueue — the
 // single-op wire shape.
-func driveMutations(t *testing.T, tn *Tenant, n int, seed int64) {
+func driveMutations(t testing.TB, tn *Tenant, n int, seed int64) {
 	t.Helper()
 	driveBatches(t, tn, n, seed, 1)
 }
@@ -96,9 +105,15 @@ func driveMutations(t *testing.T, tn *Tenant, n int, seed int64) {
 // driveBatches applies mutationMix(n, seed) through the tenant's
 // admission path, size ops per enqueue, failing on any op not
 // acknowledged.
-func driveBatches(t *testing.T, tn *Tenant, n int, seed int64, size int) {
+func driveBatches(t testing.TB, tn *Tenant, n int, seed int64, size int) {
 	t.Helper()
-	ops := mutationMix(n, seed)
+	sendBodies(t, tn, mutationMix(n, seed), size)
+}
+
+// sendBodies applies ops through the tenant's admission path, size ops
+// per enqueue, failing on any op not acknowledged.
+func sendBodies(t testing.TB, tn *Tenant, ops []op, size int) {
+	t.Helper()
 	for lo := 0; lo < len(ops); lo += size {
 		body := ops[lo:min(lo+size, len(ops))]
 		results, err := tn.enqueue(context.Background(), body)
@@ -115,8 +130,10 @@ func driveBatches(t *testing.T, tn *Tenant, n int, seed int64, size int) {
 
 func TestDurableRestartRestoresState(t *testing.T) {
 	dir := t.TempDir()
+	payoff := synthTenant(7, 24, 0.6)
+	payoff.Objective = batch.Payoff
 	cfg := Config{
-		Tenants: map[string]TenantConfig{"alpha": fixedTenant(6, 0.7), "beta": synthTenant(5, 24, 0.6)},
+		Tenants: map[string]TenantConfig{"alpha": fixedTenant(6, 0.7), "beta": synthTenant(5, 24, 0.6), "gamma": payoff},
 		DataDir: dir,
 	}
 	s1, err := New(cfg)
@@ -127,6 +144,20 @@ func TestDurableRestartRestoresState(t *testing.T) {
 	for _, name := range s1.TenantNames() {
 		tn, _ := s1.Tenant(name)
 		driveMutations(t, tn, 300, int64(len(name)))
+		if name == "gamma" {
+			// A payoff plan sums request costs, which mutationMix holds
+			// constant: varied costs make the recovered objective a float
+			// sum of distinct values.
+			priced := make([]op, 40)
+			for i := range priced {
+				priced[i] = op{kind: opSubmit, req: strategy.Request{
+					ID:     fmt.Sprintf("priced%02d", i),
+					Params: strategy.Params{Quality: 0.3 + 0.01*float64(i), Cost: 0.5 + 0.0123*float64(i), Latency: 0.9},
+					K:      1,
+				}}
+			}
+			sendBodies(t, tn, priced, 8)
+		}
 		want[name] = tn.Snapshot()
 	}
 	s1.Close()
@@ -247,48 +278,65 @@ func TestAutoCheckpointTruncates(t *testing.T) {
 }
 
 func TestRecoveryAfterTornTail(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Tenants: map[string]TenantConfig{"alpha": fixedTenant(6, 0.7)},
-		DataDir: dir,
-	}
-	s1, err := New(cfg)
+	// A crash of this build mid-append leaves a prefix of a v3 binary
+	// frame: the next record, cut short. The garbage fragment covers a
+	// torn write of any other shape.
+	frame, err := wal.EncodeRecordBinary(wal.Record{Seq: 121, Epoch: 121, Kind: wal.KindRevoke, ID: "r00000"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, _ := s1.Tenant("alpha")
-	driveMutations(t, tn, 120, 19)
-	want := tn.Snapshot()
-	s1.Close()
+	for name, torn := range map[string][]byte{
+		"cut v3 frame": frame[:len(frame)-5],
+		"garbage":      []byte(`00bad000 {"v":1,"seq":`),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{
+				Tenants: map[string]TenantConfig{"alpha": fixedTenant(6, 0.7)},
+				DataDir: dir,
+			}
+			s1, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tn, _ := s1.Tenant("alpha")
+			driveMutations(t, tn, 120, 19)
+			want := tn.Snapshot()
+			s1.Close()
 
-	// Simulate a crash mid-append: garbage partial record at the tail of
-	// the segment. Recovery must drop exactly it.
-	entries, err := os.ReadDir(filepath.Join(dir, "alpha"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seg string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".log") {
-			seg = filepath.Join(dir, "alpha", e.Name())
-		}
-	}
-	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`00bad000 {"v":1,"seq":`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			// Simulate a crash mid-append: a partial record at the tail of
+			// the segment. Recovery must drop exactly it.
+			entries, err := os.ReadDir(filepath.Join(dir, "alpha"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seg string
+			for _, e := range entries {
+				if strings.HasSuffix(e.Name(), ".log") {
+					seg = filepath.Join(dir, "alpha", e.Name())
+				}
+			}
+			f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(torn); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+			s2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			tn2, _ := s2.Tenant("alpha")
+			snapshotsEqual(t, want, tn2.Snapshot())
+			if got := tn2.met.tornBytes.Value(); got != int64(len(torn)) {
+				t.Fatalf("torn_bytes_truncated = %d, injected %d", got, len(torn))
+			}
+		})
 	}
-	defer s2.Close()
-	tn2, _ := s2.Tenant("alpha")
-	snapshotsEqual(t, want, tn2.Snapshot())
 }
 
 // TestDurableRevokeStormUnderRace is the satellite's -race storm: many

@@ -18,7 +18,7 @@ import "time"
 type Faults struct {
 	// ApplyDelay, when non-nil, is consulted before each live mutation is
 	// applied; the loop sleeps for the returned duration first. Recovery
-	// replay is exempt (restarts must stay fast). A hook that blocks
+	// never reaches it: it runs before the loop starts. A hook that blocks
 	// internally (e.g. on a test gate channel) freezes the loop, which is
 	// the deterministic way to fill the inbox.
 	ApplyDelay func(kind, id string) time.Duration
@@ -51,7 +51,7 @@ type Faults struct {
 
 // applyDelay runs the slow-apply hook for one live op, if configured.
 func (t *Tenant) applyDelay(o op) {
-	if t.faults == nil || t.faults.ApplyDelay == nil || o.replay {
+	if t.faults == nil || t.faults.ApplyDelay == nil {
 		return
 	}
 	if d := t.faults.ApplyDelay(o.kind.String(), appliedID(o)); d > 0 {

@@ -41,8 +41,8 @@ type Config struct {
 
 	// DataDir enables durability when non-empty: each tenant keeps a
 	// write-ahead log and snapshot checkpoints under DataDir/<tenant>
-	// (internal/wal), recovered through the tenant's own event loop on
-	// New. Tenant names must then be usable as directory names.
+	// (internal/wal), recovered on New before the tenant's event loop
+	// starts. Tenant names must then be usable as directory names.
 	DataDir string
 	// CheckpointEvery auto-checkpoints a tenant (snapshot + WAL
 	// truncation) after this many records appended since the last

@@ -177,9 +177,6 @@ const (
 	opSubmit opKind = iota
 	opRevoke
 	opAvailability
-	// opRestoreCounters force-sets epoch and submission counter after the
-	// checkpointed pool has been re-admitted (recovery only).
-	opRestoreCounters
 	// opCheckpoint snapshots the tenant and truncates its WAL.
 	opCheckpoint
 )
@@ -192,8 +189,6 @@ func (k opKind) String() string {
 		return "revoke"
 	case opAvailability:
 		return "availability"
-	case opRestoreCounters:
-		return "restore-counters"
 	case opCheckpoint:
 		return "checkpoint"
 	}
@@ -216,15 +211,6 @@ type op struct {
 	req  strategy.Request // opSubmit
 	id   string           // opRevoke
 	w    float64          // opAvailability
-	// replay marks recovery ops: they re-apply already-logged mutations,
-	// so the loop must not append them to the WAL again, and they are
-	// invisible to OnApply (which observes live traffic only).
-	replay bool
-	// sub is the restored submission sequence number (replay submits) or
-	// the restored submission counter (opRestoreCounters).
-	sub uint64
-	// epoch is the restored plan epoch (opRestoreCounters).
-	epoch uint64
 	// ctx carries the caller's deadline for live mutations. The loop
 	// checks it immediately before apply: an expired op is shed there —
 	// before apply, therefore before its WAL append — never after, so an
@@ -249,19 +235,14 @@ type opResult struct {
 	seq uint64
 	// ckpt reports checkpoint outcomes (opCheckpoint).
 	ckpt CheckpointInfo
-	// reqWF/reqFeasible echo the replayed submission's recomputed
-	// workforce requirement so restore can verify it against the logged
-	// fingerprint (replay submits only).
-	reqWF       float64
-	reqFeasible bool
 }
 
 // newTenant builds the tenant, compiles its warm ADPaR index, opens its
-// WAL (when durability is on) and starts the event loop. Recovery —
-// re-admitting the checkpointed pool and replaying the log tail — runs
-// through the event loop itself before newTenant returns, so by the time
-// the server exposes its handler the tenant's published view is the
-// recovered state.
+// WAL and recovers its durable state (when durability is on), publishes
+// the first view and only then starts the event loop. Until that go
+// statement newTenant is the manager's only writer, so recovery drives
+// the manager directly, and by the time the server exposes its handler
+// the tenant's published view is the recovered state.
 func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, logger *slog.Logger, now func() time.Time) (*Tenant, error) {
 	if logger == nil {
 		logger = discardLogger()
@@ -324,12 +305,12 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 		recovered = rec
 	}
 	t.met = newTenantMetrics(t)
-	t.view.Store(mgr.Publish())
-	go t.loop()
 	if t.wal != nil {
 		start := t.now()
 		if err := t.restore(recovered); err != nil {
-			t.close()
+			// The loop never started; closing the WAL releases the
+			// directory's lock.
+			t.wal.Close()
 			return nil, fmt.Errorf("server: tenant %s: recovery: %w", name, err)
 		}
 		t.met.noteRecovery(recovered, t.now().Sub(start))
@@ -343,71 +324,75 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 			slog.Int("torn_bytes", recovered.TornBytes),
 			slog.Int64("latency_us", t.now().Sub(start).Microseconds()))
 	}
+	t.view.Store(mgr.Publish())
+	go t.loop()
 	return t, nil
 }
 
-// restore replays recovered durable state through the live event loop:
-// availability and pool from the checkpoint (under the original
-// submission sequence numbers), counter and epoch restoration, then the
-// WAL tail record by record. Each tail record carries the plan epoch its
-// original application reached; the replayed application must land on
-// exactly that epoch, turning the epoch trail into an end-to-end
-// integrity check of recovery.
+// restore rebuilds the recovered durable state on the manager as one
+// deferred-replan batch: availability and pool from the checkpoint (under
+// the original submission sequence numbers), counter and epoch
+// restoration, then the WAL tail record by record, and one plan repair at
+// Commit — bit-identical to a repair per record, since the planner's
+// answer does not depend on how its edits were batched. Each tail record
+// carries the plan epoch its original application reached; the replayed
+// application must land on exactly that epoch, turning the epoch trail
+// into an end-to-end integrity check of recovery. Only newTenant calls
+// it, before the loop starts, so no OnApply or fault hook sees recovery.
 func (t *Tenant) restore(rec wal.Recovered) error {
+	m := t.mgr
+	m.Begin()
 	if cp := rec.Checkpoint; cp != nil {
-		if res := t.do(op{kind: opAvailability, w: cp.Availability, replay: true}); res.err != nil {
-			return fmt.Errorf("restoring availability %v: %w", cp.Availability, res.err)
+		if err := m.SetAvailability(cp.Availability); err != nil {
+			return fmt.Errorf("restoring availability %v: %w", cp.Availability, err)
 		}
 		for _, r := range cp.Requests {
-			res := t.do(op{kind: opSubmit, replay: true, sub: r.Sub, req: strategy.Request{
+			if _, err := m.Resubmit(strategy.Request{
 				ID:     r.ID,
 				Params: strategy.Params{Quality: r.Quality, Cost: r.Cost, Latency: r.Latency},
 				K:      r.K,
-			}})
-			if res.err != nil {
-				return fmt.Errorf("re-admitting %s (sub %d): %w", r.ID, r.Sub, res.err)
+			}, r.Sub); err != nil {
+				return fmt.Errorf("re-admitting %s (sub %d): %w", r.ID, r.Sub, err)
 			}
-			if err := verifyFingerprint(r.Req, r.Infeasible, res); err != nil {
+			if err := t.verifyFingerprint(r.ID, r.Req, r.Infeasible); err != nil {
 				return fmt.Errorf("re-admitting %s (sub %d): %w", r.ID, r.Sub, err)
 			}
 		}
-		if res := t.do(op{kind: opRestoreCounters, replay: true, epoch: cp.Epoch, sub: cp.NextSub}); res.err != nil {
-			return res.err
-		}
+		m.RestoreCounters(cp.Epoch, cp.NextSub)
 	}
 	for _, r := range rec.Tail {
-		var res opResult
+		var err error
 		switch r.Kind {
 		case wal.KindSubmit:
-			res = t.do(op{kind: opSubmit, replay: true, sub: r.Sub, req: strategy.Request{
+			if _, err = m.Resubmit(strategy.Request{
 				ID:     r.ID,
 				Params: strategy.Params{Quality: r.Quality, Cost: r.Cost, Latency: r.Latency},
 				K:      r.K,
-			}})
-			if res.err == nil {
-				if err := verifyFingerprint(r.Req, r.Infeasible, res); err != nil {
+			}, r.Sub); err == nil {
+				if err := t.verifyFingerprint(r.ID, r.Req, r.Infeasible); err != nil {
 					return fmt.Errorf("seq %d (submit %s): %w", r.Seq, r.ID, err)
 				}
 			}
 		case wal.KindRevoke:
-			res = t.do(op{kind: opRevoke, replay: true, id: r.ID})
+			err = m.Revoke(r.ID)
 		case wal.KindAvailability:
-			res = t.do(op{kind: opAvailability, replay: true, w: r.W})
+			err = m.SetAvailability(r.W)
 		default:
 			return fmt.Errorf("seq %d: unknown record kind %q", r.Seq, r.Kind)
 		}
-		if res.err != nil {
-			return fmt.Errorf("replaying seq %d (%s %s): %w", r.Seq, r.Kind, r.ID, res.err)
+		if err != nil {
+			return fmt.Errorf("replaying seq %d (%s %s): %w", r.Seq, r.Kind, r.ID, err)
 		}
-		if res.epoch != r.Epoch {
+		if epoch := m.Epoch(); epoch != r.Epoch {
 			return fmt.Errorf("epoch divergence at seq %d (%s %s): log recorded %d, replay reached %d",
-				r.Seq, r.Kind, r.ID, r.Epoch, res.epoch)
+				r.Seq, r.Kind, r.ID, r.Epoch, epoch)
 		}
 	}
+	m.Commit()
 	return nil
 }
 
-// verifyFingerprint compares a replayed submission's recomputed workforce
+// verifyFingerprint compares a re-admitted request's recomputed workforce
 // requirement against the fingerprint its original admission logged. The
 // requirement is a pure function of (request, submission seq, catalog,
 // models, aggregation mode), so any difference — bit-level included —
@@ -415,14 +400,15 @@ func (t *Tenant) restore(rec wal.Recovered) error {
 // recovery must fail loudly rather than rebuild a silently different
 // plan. The epoch trail cannot catch this: the pool-generation counter is
 // deliberately independent of planning outcomes.
-func verifyFingerprint(wantReq float64, wantInfeasible bool, res opResult) error {
-	if res.reqFeasible == wantInfeasible {
+func (t *Tenant) verifyFingerprint(id string, wantReq float64, wantInfeasible bool) error {
+	req, _ := t.mgr.Requirement(id)
+	if req.Feasible() == wantInfeasible {
 		return fmt.Errorf("requirement fingerprint divergence: log recorded infeasible=%v, replay computed infeasible=%v (wrong catalogs?)",
-			wantInfeasible, !res.reqFeasible)
+			wantInfeasible, !req.Feasible())
 	}
-	if !wantInfeasible && res.reqWF != wantReq {
+	if !wantInfeasible && req.Workforce != wantReq {
 		return fmt.Errorf("requirement fingerprint divergence: log recorded %v, replay computed %v (wrong catalogs?)",
-			wantReq, res.reqWF)
+			wantReq, req.Workforce)
 	}
 	return nil
 }
@@ -432,8 +418,8 @@ func verifyFingerprint(wantReq float64, wantInfeasible bool, res opResult) error
 // the inbox and applies them as one deferred-replan batch: per op, the
 // manager mutation and its WAL append (apply order, acked ⇒ logged
 // preserved); per batch, one plan repair, one view publish, and only
-// then the replies — so a client still observes its own write. Admin ops
-// (checkpoint, counter restore) never share a cycle with mutations.
+// then the replies — so a client still observes its own write. A
+// checkpoint never shares a cycle with mutations.
 func (t *Tenant) loop() {
 	defer close(t.done)
 	var next *op // a non-coalescable op the drain ran into
@@ -450,7 +436,9 @@ func (t *Tenant) loop() {
 			}
 		}
 		if !o.kind.mutates() {
-			t.applyAdmin(o)
+			var res opResult
+			res.ckpt, res.err = t.checkpointNow()
+			o.reply <- res
 			continue
 		}
 		batch := append(t.batch[:0], o)
@@ -489,23 +477,6 @@ func (t *Tenant) drainOnClose() {
 	}
 }
 
-// applyAdmin serves the non-mutating ops (checkpoint, counter restore)
-// outside any coalesced batch.
-func (t *Tenant) applyAdmin(o op) {
-	var res opResult
-	switch o.kind {
-	case opRestoreCounters:
-		t.mgr.RestoreCounters(o.epoch, o.sub)
-	case opCheckpoint:
-		res.ckpt, res.err = t.checkpointNow()
-	}
-	res.epoch = t.mgr.Epoch()
-	if res.err == nil {
-		t.view.Store(t.mgr.Publish())
-	}
-	o.reply <- res
-}
-
 // applyBatch applies a drained batch of mutations through the manager's
 // deferred-replan mode. The WAL append for each op happens immediately
 // after its apply — in apply order, before the batch's view publish and
@@ -536,7 +507,7 @@ func (t *Tenant) applyBatch(ops []op) {
 	t.mgr.Begin()
 	for _, o := range ops {
 		var res opResult
-		if t.readOnly.Load() && !o.replay {
+		if t.readOnly.Load() {
 			res.err = ErrWALBroken
 			res.epoch = t.mgr.Epoch()
 			results = append(results, res)
@@ -557,18 +528,14 @@ func (t *Tenant) applyBatch(ops []op) {
 		t.applyDelay(o)
 		switch o.kind {
 		case opSubmit:
-			if o.replay {
-				_, res.err = t.mgr.Resubmit(o.req, o.sub)
-			} else {
-				_, res.err = t.mgr.Submit(o.req)
-			}
+			_, res.err = t.mgr.Submit(o.req)
 		case opRevoke:
 			res.err = t.mgr.Revoke(o.id)
 		case opAvailability:
 			res.err = t.mgr.SetAvailability(o.w)
 		}
 		res.epoch = t.mgr.Epoch()
-		if dbg && !o.replay {
+		if dbg {
 			attrs := []slog.Attr{
 				slog.String("trace", o.trace),
 				slog.String("kind", o.kind.String()),
@@ -581,12 +548,7 @@ func (t *Tenant) applyBatch(ops []op) {
 			t.log.LogAttrs(context.Background(), slog.LevelDebug, evApply, attrs...)
 		}
 		if res.err == nil {
-			if o.kind == opSubmit {
-				if req, ok := t.mgr.Requirement(o.req.ID); ok {
-					res.reqWF, res.reqFeasible = req.Workforce, req.Feasible()
-				}
-			}
-			if t.wal != nil && !o.replay {
+			if t.wal != nil {
 				if seq, werr := t.logMutation(o, res); werr != nil {
 					// The triggering op reports ErrWALBroken like every
 					// write after it: its apply will not survive the
@@ -649,23 +611,21 @@ func (t *Tenant) applyBatch(ops []op) {
 	}
 	if anyApplied && walErr == nil {
 		t.view.Store(t.mgr.Publish())
-		if dbg && !ops[0].replay {
+		if dbg {
 			t.log.LogAttrs(context.Background(), slog.LevelDebug, evPublish,
 				slog.Uint64("epoch", t.mgr.Epoch()),
 				slog.Int("batch_ops", len(ops)))
 		}
 	}
-	if !ops[0].replay {
-		t.met.batches.Add(1)
-		t.met.batchedOps.Add(int64(len(ops)))
-		t.batchLatency.observe(t.now().Sub(start))
-	}
+	t.met.batches.Add(1)
+	t.met.batchedOps.Add(int64(len(ops)))
+	t.batchLatency.observe(t.now().Sub(start))
 	for i, o := range ops {
 		res := results[i]
 		if o.kind == opSubmit && res.err == nil {
 			res.served, _ = t.mgr.Served(o.req.ID)
 		}
-		if t.onApply != nil && !o.replay {
+		if t.onApply != nil {
 			t.onApply(AppliedOp{
 				Tenant: t.name,
 				Kind:   o.kind.String(),
@@ -699,6 +659,7 @@ func (t *Tenant) logMutation(o op, res opResult) (uint64, error) {
 		if !ok {
 			return 0, fmt.Errorf("submitted request %s missing from its own pool", o.req.ID)
 		}
+		req, _ := t.mgr.Requirement(o.req.ID)
 		rec.Kind = wal.KindSubmit
 		rec.ID = o.req.ID
 		rec.Quality = o.req.Quality
@@ -706,11 +667,11 @@ func (t *Tenant) logMutation(o op, res opResult) (uint64, error) {
 		rec.Latency = o.req.Latency
 		rec.K = o.req.K
 		rec.Sub = seq
-		rec.Infeasible = !res.reqFeasible
-		if res.reqFeasible {
-			// +Inf (the infeasible sentinel) does not survive JSON; the
-			// flag alone carries that case.
-			rec.Req = res.reqWF
+		rec.Infeasible = !req.Feasible()
+		if req.Feasible() {
+			// The flag alone carries an infeasible requirement (+Inf), as
+			// in a checkpoint, whose JSON cannot hold +Inf; Req stays 0.
+			rec.Req = req.Workforce
 		}
 	case opRevoke:
 		rec.Kind = wal.KindRevoke
@@ -793,19 +754,6 @@ func (t *Tenant) checkpointNow() (CheckpointInfo, error) {
 		Requests:        len(cp.Requests),
 		RemovedSegments: removed,
 	}, nil
-}
-
-// do routes one recovery-replay or admin op through the event loop. Live
-// mutations go through enqueue instead; do keeps the blocking send:
-// recovery owns the loop, and a checkpoint is allowed to wait out a burst.
-func (t *Tenant) do(o op) opResult {
-	o.reply = make(chan opResult, 1)
-	select {
-	case t.ops <- o:
-	case <-t.quit:
-		return opResult{err: ErrTenantClosed}
-	}
-	return t.await(o.reply)
 }
 
 // enqueue is the one admission path for live mutations: the single-op
@@ -1070,7 +1018,15 @@ type CheckpointInfo struct {
 // half-applied in it). Fails with ErrNoDurability when the server runs
 // without a data directory.
 func (t *Tenant) Checkpoint() (CheckpointInfo, error) {
-	res := t.do(op{kind: opCheckpoint})
+	// Unlike a live mutation's enqueue, the send blocks: a checkpoint is
+	// allowed to wait out a burst.
+	reply := make(chan opResult, 1)
+	res := opResult{err: ErrTenantClosed}
+	select {
+	case t.ops <- op{kind: opCheckpoint, reply: reply}:
+		res = t.await(reply)
+	case <-t.quit:
+	}
 	if res.err != nil {
 		if !errors.Is(res.err, ErrNoDurability) {
 			t.met.errors.Add(1)
