@@ -23,7 +23,6 @@ import (
 	"stratrec/internal/adpar"
 	"stratrec/internal/batch"
 	"stratrec/internal/experiments"
-	"stratrec/internal/loadgen"
 	"stratrec/internal/server"
 	"stratrec/internal/strategy"
 	"stratrec/internal/synth"
@@ -212,19 +211,7 @@ func BenchmarkIndexedADPaR(b *testing.B) {
 
 // benchServer hosts two synthetic tenants over httptest for the lifetime
 // of the benchmark.
-func benchServer(b *testing.B, strategies int) (*server.Server, *httptest.Server) {
-	b.Helper()
-	s, hs := benchLoadServer(b, strategies)
-	b.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
-	return s, hs
-}
-
-// benchLoadServer is benchServer without b.Cleanup, for benchmarks that
-// create and close a server every iteration.
-func benchLoadServer(b *testing.B, strategies int) (*server.Server, *httptest.Server) {
+func benchServer(b *testing.B, strategies int) *httptest.Server {
 	b.Helper()
 	gen := synth.DefaultConfig(synth.Uniform)
 	tenants := map[string]server.TenantConfig{}
@@ -241,7 +228,12 @@ func benchLoadServer(b *testing.B, strategies int) (*server.Server, *httptest.Se
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s, httptest.NewServer(s.Handler())
+	hs := httptest.NewServer(s.Handler())
+	b.Cleanup(func() {
+		hs.Close()
+		s.Close()
+	})
+	return hs
 }
 
 // BenchmarkServeSubmitRevoke times one submit+revoke round trip through
@@ -249,7 +241,7 @@ func benchLoadServer(b *testing.B, strategies int) (*server.Server, *httptest.Se
 // view publish, JSON encode — twice. The open pool stays bounded, so
 // per-op cost is the steady state, not pool growth.
 func BenchmarkServeSubmitRevoke(b *testing.B) {
-	_, hs := benchServer(b, 200)
+	hs := benchServer(b, 200)
 	client := hs.Client()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -278,7 +270,7 @@ func BenchmarkServeSubmitRevoke(b *testing.B) {
 // BenchmarkServePlanRead times the lock-free read path: an atomic snapshot
 // load plus JSON encoding, with 100 open requests in the plan.
 func BenchmarkServePlanRead(b *testing.B) {
-	_, hs := benchServer(b, 200)
+	hs := benchServer(b, 200)
 	client := hs.Client()
 	gen := synth.DefaultConfig(synth.Uniform)
 	rng := rand.New(rand.NewSource(9))
@@ -303,93 +295,6 @@ func BenchmarkServePlanRead(b *testing.B) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-	}
-}
-
-// BenchmarkServeLoadHarness runs the full load harness for a short
-// closed-loop burst per iteration, giving CI a one-line throughput
-// trajectory for the whole serving stack. Each iteration gets a fresh
-// server (outside the timer): submits left open by one burst would
-// otherwise accumulate and make replanning cost grow with b.N.
-func BenchmarkServeLoadHarness(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, hs := benchLoadServer(b, 100)
-		b.StartTimer()
-		rep, err := loadgen.Run(loadgen.Config{
-			BaseURL:        hs.URL,
-			Tenants:        []string{"alpha", "beta"},
-			Workers:        4,
-			Events:         400,
-			RevokeFraction: 0.3,
-			DriftFraction:  0.05,
-			TightFraction:  0.3,
-			K:              3,
-			Seed:           42,
-			Client:         hs.Client(),
-		})
-		b.StopTimer()
-		hs.Close()
-		s.Close()
-		b.StartTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Errors > 0 {
-			b.Fatalf("%d load errors", rep.Errors)
-		}
-	}
-}
-
-// BenchmarkIngestThroughput measures end-to-end ingest in ops/s through
-// the full HTTP stack — per-op endpoints vs. the batched /ops endpoint —
-// and reports ops/s as a custom metric. Each iteration gets a fresh
-// server so pool growth never pollutes the steady state. This is the
-// benchmark behind benchmarks/BENCH_ingest_throughput.json.
-func BenchmarkIngestThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		batchSize int
-	}{
-		{"per-op", 0},
-		{"batched-32", 32},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var ops, seconds float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, hs := benchLoadServer(b, 100)
-				b.StartTimer()
-				rep, err := loadgen.Run(loadgen.Config{
-					BaseURL:        hs.URL,
-					Tenants:        []string{"alpha", "beta"},
-					Workers:        4,
-					Events:         800,
-					RevokeFraction: 0.3,
-					DriftFraction:  0.05,
-					K:              3,
-					Seed:           42,
-					BatchSize:      mode.batchSize,
-					Client:         hs.Client(),
-				})
-				b.StopTimer()
-				hs.Close()
-				s.Close()
-				b.StartTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Errors > 0 {
-					b.Fatalf("%d ingest errors", rep.Errors)
-				}
-				ops += float64(rep.Ops)
-				seconds += rep.Duration.Seconds()
-			}
-			if seconds > 0 {
-				b.ReportMetric(ops/seconds, "ops/s")
-			}
-		})
 	}
 }
 

@@ -68,43 +68,6 @@ func TestConformRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestServeSelftestWorkloadExportReplay: the selftest exports its
-// generated workload as a synth trace, and a second selftest replays that
-// exact file deterministically — both with zero errors.
-func TestServeSelftestWorkloadExportReplay(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "workload.json")
-	out, err := capture(t, func() error {
-		return runServe([]string{
-			"-selftest",
-			"-selftest-requests", "200",
-			"-selftest-workers", "2",
-			"-demo-tenants", "1",
-			"-demo-strategies", "16",
-			"-selftest-export-workload", trace,
-		})
-	})
-	if err != nil {
-		t.Fatalf("selftest export: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "workload trace written") || !strings.Contains(out, "0 errors") {
-		t.Errorf("export output unexpected:\n%s", out)
-	}
-	out, err = capture(t, func() error {
-		return runServe([]string{
-			"-selftest",
-			"-demo-tenants", "1",
-			"-demo-strategies", "16",
-			"-selftest-workload", trace,
-		})
-	})
-	if err != nil {
-		t.Fatalf("selftest replay: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "pre-built worker sequences") || !strings.Contains(out, "0 errors") {
-		t.Errorf("replay output unexpected:\n%s", out)
-	}
-}
-
 // TestConformArtifactRoundTrip: an artifact written by the trace writer is
 // readable by the replay path (the two halves of the failure workflow).
 func TestConformArtifactRoundTrip(t *testing.T) {

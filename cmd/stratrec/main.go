@@ -10,7 +10,6 @@
 //	stratrec -input batch.json       # run a batch from a JSON file
 //	stratrec serve [flags]           # multi-tenant HTTP server
 //	stratrec serve -data-dir d       # durable server: WAL + checkpoints, crash recovery
-//	stratrec serve -selftest         # serve + replay a synthetic load, print p50/p99
 //	stratrec conform [flags]         # end-to-end differential conformance harness
 //	stratrec conform -replay f.json  # replay a minimized failure trace
 //	stratrec conform -profile crash-recovery  # kill/restart differential oracle

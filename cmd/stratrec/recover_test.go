@@ -1,10 +1,15 @@
 package main
 
 import (
+	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"stratrec/internal/server"
+	"stratrec/internal/synth"
 )
 
 // TestConformCrashRecoveryProfile: the kill/restart oracle runs clean
@@ -43,39 +48,83 @@ func TestConformCrashRecoveryProfile(t *testing.T) {
 	}
 }
 
-// TestRecoverVerifyRoundTrip: a durable selftest-style server writes a
-// WAL through the demo-tenant path, and `recover -verify` replays it
-// against the same seeded catalogs.
+// writeDataDir hosts the catalogs of cf on a durable server under dir,
+// drives a seeded synthetic submit/revoke/drift sequence through each
+// tenant's API, and closes the server, leaving its WAL behind.
+func writeDataDir(t *testing.T, dir string, cf catalogFlags) {
+	t.Helper()
+	cfg, err := buildServerConfig(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DataDir = dir
+	s, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	gen := synth.DefaultConfig(synth.Uniform)
+	for i, name := range s.TenantNames() {
+		tn, err := s.Tenant(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := gen.Workload(rand.New(rand.NewSource(int64(i))), synth.WorkloadConfig{
+			Events: 100, K: 3,
+			RevokeFraction: 0.3, DriftFraction: 0.05, TightFraction: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			switch ev.Kind {
+			case synth.SubmitArrival:
+				_, err = tn.Submit(ctx, ev.Request)
+			case synth.RevokeArrival:
+				_, err = tn.Revoke(ctx, ev.RevokeID)
+			case synth.DriftArrival:
+				_, err = tn.SetAvailability(ctx, ev.Availability)
+			}
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, ev.Kind, err)
+			}
+		}
+	}
+}
+
+// TestRecoverVerifyRoundTrip: a durable server built from serve's
+// catalog flags writes a WAL, and `recover -verify` replays it against
+// the same catalogs, from a tenants file or seeded demo tenants.
 func TestRecoverVerifyRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	out, err := capture(t, func() error {
-		return runServe([]string{
-			"-data-dir", dir,
-			"-demo-tenants", "2", "-demo-strategies", "24", "-seed", "77",
-			"-selftest", "-selftest-requests", "200", "-selftest-workers", "2",
-		})
+	writeDataDir(t, dir, catalogFlags{
+		objective: "throughput", mode: "max",
+		demoTenants: 2, demoSize: 24, seed: 77,
 	})
-	if err != nil {
-		t.Fatalf("durable selftest: %v\n%s", err, out)
-	}
+	tenantsFileDir := filepath.Join(t.TempDir(), "data")
+	writeDataDir(t, tenantsFileDir, catalogFlags{
+		objective: "throughput", mode: "max",
+		tenantsPath: "testdata/tenants.json",
+	})
 
-	out, err = capture(t, func() error {
-		return runRecover([]string{
-			"-data-dir", dir, "-verify",
-			"-demo-tenants", "2", "-demo-strategies", "24", "-seed", "77",
-		})
-	})
-	if err != nil {
-		t.Fatalf("recover -verify: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "verification OK") {
-		t.Errorf("verify output unexpected:\n%s", out)
+	for _, args := range [][]string{
+		{"-data-dir", dir, "-verify", "-demo-tenants", "2", "-demo-strategies", "24", "-seed", "77"},
+		{"-data-dir", tenantsFileDir, "-verify", "-tenants", "testdata/tenants.json"},
+	} {
+		out, err := capture(t, func() error { return runRecover(args) })
+		if err != nil {
+			t.Fatalf("recover %v: %v\n%s", args, err, out)
+		}
+		if !strings.Contains(out, "verification OK") {
+			t.Errorf("recover %v: verify output unexpected:\n%s", args, out)
+		}
 	}
 
 	// A catalog tenant with no data on disk is skipped, not fabricated:
 	// -verify must never create fresh WAL directories inside the artifact
 	// it inspects.
-	out, err = capture(t, func() error {
+	out, err := capture(t, func() error {
 		return runRecover([]string{
 			"-data-dir", dir, "-verify",
 			"-demo-tenants", "3", "-demo-strategies", "24", "-seed", "77",

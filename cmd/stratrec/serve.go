@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -16,7 +15,6 @@ import (
 
 	"stratrec/internal/batch"
 	"stratrec/internal/linmodel"
-	"stratrec/internal/loadgen"
 	"stratrec/internal/server"
 	"stratrec/internal/store"
 	"stratrec/internal/strategy"
@@ -25,9 +23,8 @@ import (
 )
 
 // runServe implements `stratrec serve`: a multi-tenant recommendation
-// server over the catalogs of a tenants file (or synthetic demo tenants),
-// plus a -selftest mode that replays a synthetic Poisson workload against
-// the live server and prints throughput and latency percentiles.
+// server over the catalogs of a tenants file (or synthetic demo tenants)
+// that listens until SIGINT or SIGTERM, then drains and stops.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
@@ -45,20 +42,12 @@ func runServe(args []string) error {
 		logLevel    = fs.String("log-level", "info", "structured log threshold: debug (per-op admit/apply/append/commit/publish), info (terminal reply/shed + lifecycle), warn (sheds only)")
 		demoTenants = fs.Int("demo-tenants", 2, "synthetic tenant count when -tenants is empty")
 		demoSize    = fs.Int("demo-strategies", 64, "strategies per synthetic tenant")
-		seed        = fs.Int64("seed", 2020, "synthetic tenant / selftest workload seed")
+		seed        = fs.Int64("seed", 2020, "synthetic demo tenant seed")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 
 		dataDir   = fs.String("data-dir", "", "durability root: per-tenant write-ahead log + checkpoints, recovered on startup; empty disables durability")
 		gcWindow  = fs.Duration("wal-group-commit-window", 0, "WAL commit window: tenant loops that finish a batch within it share one fsync round (e.g. 500us); 0 commits each batch as soon as it is appended")
 		ckptEvery = fs.Int("checkpoint-every", 10000, "auto-checkpoint a tenant after n WAL records since the last checkpoint (0 = only via POST /admin/checkpoint)")
-
-		selftest  = fs.Bool("selftest", false, "serve on an ephemeral port, replay a synthetic workload, print the report, exit")
-		stEvents  = fs.Int("selftest-requests", 2000, "selftest: total workload events")
-		stWorkers = fs.Int("selftest-workers", 8, "selftest: concurrent load workers")
-		stRate    = fs.Float64("selftest-rate", 0, "selftest: per-worker Poisson arrival rate in events/s; 0 = closed loop")
-		stBatch   = fs.Int("selftest-batch", 0, "selftest: batched ingest mode — group mutations into POST /ops bodies of up to this many ops (0 = per-op endpoints)")
-		stExport  = fs.String("selftest-export-workload", "", "selftest: also write the generated workload as a JSON trace to this path")
-		stReplay  = fs.String("selftest-workload", "", "selftest: replay a JSON workload trace (one worker) instead of generating")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,19 +91,6 @@ func runServe(args []string) error {
 			*dataDir, *gcWindow, *ckptEvery)
 	}
 
-	if *selftest {
-		return runSelftest(s, selftestConfig{
-			events:  *stEvents,
-			workers: *stWorkers,
-			rate:    *stRate,
-			batch:   *stBatch,
-			seed:    *seed,
-			drain:   *drain,
-			export:  *stExport,
-			replay:  *stReplay,
-		})
-	}
-
 	fmt.Printf("stratrec serve: %d tenants on %s\n", len(s.TenantNames()), *addr)
 	for _, name := range s.TenantNames() {
 		fmt.Printf("  /v1/tenants/%s\n", name)
@@ -129,8 +105,7 @@ func runServe(args []string) error {
 
 // buildLogger maps the -log/-log-level flags onto a slog.Logger for
 // server.Config.Logger. Logs go to stderr — stdout stays reserved for
-// the human-readable startup banner and the selftest report, which CI
-// greps.
+// the human-readable startup banner.
 func buildLogger(format, level string) (*slog.Logger, error) {
 	if format == "off" || format == "" {
 		return nil, nil
@@ -228,129 +203,6 @@ func buildServerConfig(cf catalogFlags) (server.Config, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// selftestConfig carries the selftest knobs, including workload trace
-// export (write the generated sequence as JSON) and replay (drive the
-// server from a previously saved trace instead of generating).
-type selftestConfig struct {
-	events  int
-	workers int
-	rate    float64
-	batch   int
-	seed    int64
-	drain   time.Duration
-	export  string
-	replay  string
-}
-
-// runSelftest serves on an ephemeral loopback port, replays the workload,
-// prints the report, and shuts the server down.
-func runSelftest(s *server.Server, cfg selftestConfig) error {
-	loadCfg := loadgen.Config{
-		Tenants:        s.TenantNames(),
-		Workers:        cfg.workers,
-		Events:         cfg.events,
-		Rate:           cfg.rate,
-		RevokeFraction: 0.3,
-		DriftFraction:  0.05,
-		TightFraction:  0.3,
-		PlanEvery:      20,
-		K:              3,
-		Seed:           cfg.seed,
-		BatchSize:      cfg.batch,
-	}
-	if cfg.replay != "" && cfg.export != "" {
-		s.Close()
-		return fmt.Errorf("selftest: -selftest-workload and -selftest-export-workload are mutually exclusive")
-	}
-	if cfg.replay != "" {
-		f, err := os.Open(cfg.replay)
-		if err != nil {
-			s.Close()
-			return err
-		}
-		events, err := synth.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			s.Close()
-			return err
-		}
-		// One worker replays the saved sequence verbatim: revokes stay
-		// self-consistent and the run is deterministic in the file.
-		loadCfg.Workloads = [][]synth.WorkloadEvent{events}
-	}
-	if cfg.export != "" {
-		workloads, err := loadgen.BuildWorkloads(loadCfg)
-		if err != nil {
-			s.Close()
-			return err
-		}
-		// Concatenate per-worker sequences: IDs are worker-prefixed (no
-		// collisions) and each worker's events stay in order, so the
-		// concatenation is itself a valid single-worker workload.
-		var all []synth.WorkloadEvent
-		for _, wl := range workloads {
-			all = append(all, wl...)
-		}
-		if err := writeWorkloadFile(cfg.export, all); err != nil {
-			s.Close()
-			return err
-		}
-		fmt.Printf("selftest: workload trace written to %s (%d events)\n", cfg.export, len(all))
-		loadCfg.Workloads = workloads
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		s.Close()
-		return err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	base := "http://" + ln.Addr().String()
-	loadCfg.BaseURL = base
-	if loadCfg.Workloads != nil {
-		fmt.Printf("selftest: %d tenants at %s, %d pre-built worker sequences\n",
-			len(s.TenantNames()), base, len(loadCfg.Workloads))
-	} else {
-		fmt.Printf("selftest: %d tenants at %s, %d events, %d workers\n",
-			len(s.TenantNames()), base, cfg.events, cfg.workers)
-	}
-	rep, loadErr := loadgen.Run(loadCfg)
-
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	shutdownErr := hs.Shutdown(ctx)
-	s.Close()
-	<-serveErr // always http.ErrServerClosed after Shutdown
-
-	if loadErr != nil {
-		return loadErr
-	}
-	fmt.Print(rep)
-	if shutdownErr != nil {
-		return shutdownErr
-	}
-	if rep.Errors > 0 {
-		return fmt.Errorf("selftest: %d of %d ops failed", rep.Errors, rep.Ops)
-	}
-	return nil
-}
-
-// writeWorkloadFile saves a workload event sequence as a JSON trace.
-func writeWorkloadFile(path string, events []synth.WorkloadEvent) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := synth.WriteTrace(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // anchoredModels is the Section 3.1 default for catalog entries without

@@ -1,54 +1,6 @@
 package main
 
-import (
-	"strings"
-	"testing"
-)
-
-// TestServeSelftestSynthetic: `stratrec serve -selftest` hosts synthetic
-// demo tenants, replays a Poisson workload against itself, and prints
-// throughput plus latency percentiles.
-func TestServeSelftestSynthetic(t *testing.T) {
-	out, err := capture(t, func() error {
-		return runServe([]string{
-			"-selftest",
-			"-selftest-requests", "300",
-			"-selftest-workers", "4",
-			"-demo-tenants", "2",
-			"-demo-strategies", "24",
-		})
-	})
-	if err != nil {
-		t.Fatalf("selftest: %v\n%s", err, out)
-	}
-	for _, want := range []string{"2 tenants", "req/s", "p50", "p99", "submit", "0 errors"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("selftest output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestServeSelftestTenantsFile: the same selftest against catalogs loaded
-// from a tenants file, entries without models getting the anchored
-// defaults.
-func TestServeSelftestTenantsFile(t *testing.T) {
-	out, err := capture(t, func() error {
-		return runServe([]string{
-			"-selftest",
-			"-tenants", "testdata/tenants.json",
-			"-selftest-requests", "200",
-			"-selftest-workers", "2",
-		})
-	})
-	if err != nil {
-		t.Fatalf("selftest: %v\n%s", err, out)
-	}
-	for _, want := range []string{"2 tenants", "req/s", "p50"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("selftest output missing %q:\n%s", want, out)
-		}
-	}
-}
+import "testing"
 
 func TestServeErrors(t *testing.T) {
 	if err := runServe([]string{"-objective", "bogus"}); err == nil {
@@ -63,7 +15,7 @@ func TestServeErrors(t *testing.T) {
 	if err := runServe([]string{"-badflag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
-	if err := runServe([]string{"-selftest", "-demo-tenants", "0"}); err == nil {
+	if err := runServe([]string{"-demo-tenants", "0"}); err == nil {
 		t.Error("zero tenants accepted")
 	}
 }

@@ -24,13 +24,13 @@ var AnalyzerClockDiscipline = &Analyzer{
 	Name: "clockdiscipline",
 	Doc: `clockdiscipline: no wall-clock reads in clock-injected subsystems.
 
-In internal/server, internal/conformance, and internal/loadgen every
-time observation — enqueue stamps, EWMA latency samples, projected-wait
-deadline checks, uptime — must come from the injected clock (Config.Now
-/ the tenant's now field), never time.Now, time.Since, time.Until,
-time.After, or time.Tick. One stray wall-clock read makes overload
-shedding, Retry-After hints, and replay timing nondeterministic under
-the conformance harness's fixed or stepped clock.
+In internal/server and internal/conformance every time observation —
+enqueue stamps, EWMA latency samples, projected-wait deadline checks,
+uptime — must come from the injected clock (Config.Now / the tenant's
+now field), never time.Now, time.Since, time.Until, time.After, or
+time.Tick. One stray wall-clock read makes overload shedding,
+Retry-After hints, and replay timing nondeterministic under the
+conformance harness's fixed or stepped clock.
 
 Genuine wall-clock measurements (benchmark wall time, recovery duration
 reported to a human) use the escape hatch:
@@ -40,7 +40,7 @@ reported to a human) use the escape hatch:
 }
 
 func runClockDiscipline(pass *Pass) error {
-	if !pkgOneOf(pass, "server", "conformance", "loadgen") {
+	if !pkgOneOf(pass, "server", "conformance") {
 		return nil
 	}
 	for _, f := range pass.Files {

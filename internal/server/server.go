@@ -12,9 +12,9 @@
 // warm adpar.Index. Shutdown is graceful: the HTTP layer drains in-flight
 // requests before the event loops stop.
 //
-// The load harness that replays synthetic Poisson workloads against a
-// live server lives in internal/loadgen, on top of the typed API client
-// in internal/client.
+// The typed Go client for this API lives in internal/client. The
+// benchmark that loads a live server and measures it end to end, layer
+// by layer, is stratbench (see stratbench/README.md).
 package server
 
 import (

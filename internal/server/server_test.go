@@ -8,11 +8,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"stratrec/internal/adpar"
 	"stratrec/internal/batch"
@@ -20,6 +23,7 @@ import (
 	"stratrec/internal/strategy"
 	"stratrec/internal/stream"
 	"stratrec/internal/synth"
+	"stratrec/internal/wal"
 	"stratrec/internal/workforce"
 )
 
@@ -381,6 +385,55 @@ func TestServeShutdownDrains(t *testing.T) {
 	}
 	if _, err := tn.Submit(context.Background(), strategy.Request{ID: "c", Params: strategy.Params{Quality: 0.5, Cost: 0.5, Latency: 0.5}, K: 1}); !errors.Is(err, ErrTenantClosed) {
 		t.Errorf("submit after close = %v", err)
+	}
+}
+
+// TestListenAndServeReleasesTenants: the listen path `stratrec serve`
+// runs stops the tenants on both of its exits, a cancelled context (nil
+// error) and a listen failure (the error comes back), so a later
+// mutation gets ErrTenantClosed and the WAL lock is free again.
+func TestListenAndServeReleasesTenants(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		addr   string
+		cancel bool
+	}{
+		{"cancelled", "127.0.0.1:0", true},
+		{"listen error", "127.0.0.1:-1", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(Config{Tenants: map[string]TenantConfig{"alpha": fixedTenant(3, 0.8)}, DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel {
+				cancel()
+			}
+			err = s.ListenAndServe(ctx, tc.addr, time.Second)
+			var opErr *net.OpError
+			switch {
+			case tc.cancel && err != nil:
+				t.Fatalf("ListenAndServe after cancel = %v, want nil", err)
+			case !tc.cancel && !(errors.As(err, &opErr) && opErr.Op == "listen"):
+				t.Fatalf("ListenAndServe on %s = %v, want the listen error", tc.addr, err)
+			}
+
+			tn, err := s.Tenant("alpha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tn.Submit(context.Background(), strategy.Request{ID: "a", Params: strategy.Params{Quality: 0.5, Cost: 0.5, Latency: 0.5}, K: 1}); !errors.Is(err, ErrTenantClosed) {
+				t.Errorf("submit after ListenAndServe = %v, want ErrTenantClosed", err)
+			}
+			l, _, err := wal.Open(filepath.Join(dir, "alpha"), wal.Options{})
+			if err != nil {
+				t.Fatalf("WAL still locked after ListenAndServe: %v", err)
+			}
+			l.Close()
+		})
 	}
 }
 
