@@ -143,8 +143,30 @@ func (pm ParamModels) FeasibleInterval(d strategy.Params) Interval {
 // paper's model shapes — quality and cost non-decreasing, latency
 // non-increasing, budget loose at the requirement — this equals the
 // paper's max(w_q, w_c, w_l) (Section 3.2, Figure 3a).
+//
+// It is the catalog scan's kernel, so it intersects the three
+// FeasibleInterval results in one pass, with the builtin max and min (the
+// same bits as Intersect's math.Max and math.Min) and returning Infeasible
+// as soon as the running intersection is empty. Its answer is
+// bit-identical to the lower end of FeasibleInterval(d) for finite
+// coefficients and thresholds, the only domain that reaches it: JSON
+// cannot carry NaN or Inf, and synthetic and fitted models are finite.
+// There an empty intersection stays empty, so the early exit changes no
+// answer.
+//
+//lint:allocfree
 func (pm ParamModels) Requirement(d strategy.Params) float64 {
-	iv := pm.FeasibleInterval(d)
+	iv := pm.Quality.FeasibleInterval(d.Quality, LowerBound)
+	if iv.Empty() {
+		return Infeasible
+	}
+	c := pm.Cost.FeasibleInterval(d.Cost, UpperBound)
+	iv = Interval{Lo: max(iv.Lo, c.Lo), Hi: min(iv.Hi, c.Hi)}
+	if iv.Empty() {
+		return Infeasible
+	}
+	l := pm.Latency.FeasibleInterval(d.Latency, UpperBound)
+	iv = Interval{Lo: max(iv.Lo, l.Lo), Hi: min(iv.Hi, l.Hi)}
 	if iv.Empty() {
 		return Infeasible
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -36,7 +37,9 @@ func writeTenantLog(t *testing.T, dir string, cp *wal.Checkpoint, tail []wal.Rec
 // TestRecoveryRefusals: a log that recovery cannot rebuild exactly fails
 // server.New, and a runtime CreateTenant over the same directory, with a
 // message naming the broken record. The refused tenant is never
-// registered, and its directory lock is released.
+// registered, and its directory lock is released. Next to healthy
+// tenants that recover concurrently with it, New still reports the
+// broken tenant and releases every tenant's lock.
 func TestRecoveryRefusals(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,6 +101,42 @@ func TestRecoveryRefusals(t *testing.T) {
 			}
 			if names := s.TenantNames(); !slices.Equal(names, []string{"beta"}) {
 				t.Fatalf("tenants after a refused create: %v", names)
+			}
+
+			// Two healthy durable tenants with data, and the broken log
+			// under a name that sorts last.
+			multi := t.TempDir()
+			healthy := map[string]TenantConfig{"alpha": fixedTenant(6, 0.7), "beta": fixedTenant(6, 0.7)}
+			hs, err := New(Config{Tenants: healthy, DataDir: multi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"alpha", "beta"} {
+				tn, err := hs.Tenant(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range 5 {
+					if _, err := tn.Submit(context.Background(), strategy.Request{
+						ID: fmt.Sprintf("r%d", i), Params: strategy.Params{Quality: 0.5, Cost: 0.9, Latency: 0.9}, K: 1,
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			hs.Close()
+			writeTenantLog(t, filepath.Join(multi, "gamma"), tc.cp, tc.tail)
+			all := map[string]TenantConfig{"alpha": healthy["alpha"], "beta": healthy["beta"], "gamma": fixedTenant(6, 0.7)}
+			_, err = New(Config{Tenants: all, DataDir: multi})
+			if err == nil || !strings.Contains(err.Error(), "tenant gamma") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New with healthy tenants: err = %v, want tenant gamma's %q", err, tc.want)
+			}
+			for name := range all {
+				l, _, err := wal.Open(filepath.Join(multi, name), wal.Options{})
+				if err != nil {
+					t.Fatalf("%s still locked after the refusal: %v", name, err)
+				}
+				l.Close()
 			}
 		})
 	}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +37,8 @@ type Config struct {
 	// Now is the server's clock, consulted for the start time and uptime
 	// metrics. Nil defaults to time.Now. Deterministic harnesses
 	// (internal/conformance) and tests inject a fixed or stepped clock so
-	// time-derived observables are reproducible.
+	// time-derived observables are reproducible. It must be safe for
+	// concurrent use: tenants build concurrently, and their loops read it.
 	Now func() time.Time
 
 	// DataDir enables durability when non-empty: each tenant keeps a
@@ -124,7 +126,13 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// New builds the server and starts one event loop per tenant.
+// New builds the server and starts one event loop per tenant. Tenants
+// build concurrently on at most GOMAXPROCS workers — each owns its
+// directory, WAL, manager and index, so recovering one never waits on
+// another — and register in sorted name order. If any tenant fails to
+// build, New closes every tenant that did, so no directory lock stays
+// held, and returns the error of the first failing tenant in sorted
+// order.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, errors.New("server: no tenants configured")
@@ -164,14 +172,35 @@ func New(cfg Config) (*Server, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		t, err := newTenant(name, cfg.Tenants[name], s.dur, s.pool, s.log, s.now)
+	built := make([]*Tenant, len(names))
+	errs := make([]error, len(names))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(names)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				built[i], errs[i] = newTenant(names[i], cfg.Tenants[names[i]], s.dur, s.pool, s.log, s.now)
+			}
+		}()
+	}
+	for i := range names {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for i, name := range names {
+		if built[i] != nil {
+			s.tenants[name] = built[i]
+			s.names = append(s.names, name)
+		}
+	}
+	for _, err := range errs {
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		s.tenants[name] = t
-		s.names = append(s.names, name)
 	}
 	s.vars, s.tenantVars = newMetricsRoot(s)
 	s.mux = s.routes()

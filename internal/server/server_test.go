@@ -456,6 +456,39 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 }
 
+// TestTenantModelCountMismatch: a tenant whose model slice does not match
+// its catalog is refused by New and by CreateTenant with both counts
+// named. Accepted, it panicked the tenant loop, and with it the process,
+// on the first submit, once the requirement scan indexed past the models.
+func TestTenantModelCountMismatch(t *testing.T) {
+	for _, models := range []int{10, 30} {
+		cfg := synthTenant(5, 20, 0.7)
+		cfg.Models = synthTenant(5, models, 0.7).Models
+		want := fmt.Sprintf("20 strategies with %d model sets", models)
+
+		s, err := New(Config{Tenants: map[string]TenantConfig{"alpha": cfg}})
+		if err == nil {
+			s.Close()
+			t.Fatalf("New accepted 20 strategies with %d model sets", models)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("New: err = %v, want it to contain %q", err, want)
+		}
+
+		s, err = New(Config{Tenants: map[string]TenantConfig{"beta": fixedTenant(3, 0.7)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateTenant("alpha", cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CreateTenant: err = %v, want it to contain %q", err, want)
+		}
+		if _, err := s.Tenant("alpha"); !errors.Is(err, ErrUnknownTenant) {
+			t.Errorf("refused tenant is registered: %v", err)
+		}
+		s.Close()
+	}
+}
+
 // TestServeReadYourWrites: a submit reply is sent only after the snapshot
 // is published, so an immediate plan read sees the write.
 func TestServeReadYourWrites(t *testing.T) {

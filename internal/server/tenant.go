@@ -250,6 +250,9 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 	if now == nil {
 		now = defaultClock()
 	}
+	if len(cfg.Models) != len(cfg.Set) {
+		return nil, fmt.Errorf("server: tenant %s: %d strategies with %d model sets", name, len(cfg.Set), len(cfg.Models))
+	}
 	mgr, err := stream.NewManager(cfg.Set, cfg.Models, cfg.Mode, cfg.Objective, cfg.InitialW)
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %s: %w", name, err)

@@ -62,7 +62,7 @@ func BenchmarkAggregate(b *testing.B) {
 func BenchmarkRequirementForStreaming(b *testing.B) {
 	reqs, set, models := benchSetup(1, 100000, 9)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		RequirementFor(reqs[0], 0, set, models, MaxCase)
 	}
 }

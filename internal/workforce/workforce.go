@@ -5,10 +5,10 @@
 package workforce
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"stratrec/internal/linmodel"
 	"stratrec/internal/strategy"
@@ -145,32 +145,17 @@ type Requirement struct {
 // Feasible reports whether k strategies were found.
 func (r Requirement) Feasible() bool { return !math.IsInf(r.Workforce, 1) }
 
-// kSmallest selects the k smallest finite values of row (with their column
-// indices) using a size-k max-heap, the O(|S| log k) selection the paper
-// describes. It returns fewer than k pairs when the row has fewer finite
-// entries.
+// kSmallest selects the k smallest finite values of row with their column
+// indices, in ascending (value, col) order, through the size-k max-heap of
+// offer: the O(|S| log k) selection the paper describes. It returns fewer
+// than k pairs when the row has fewer finite entries.
 func kSmallest(row []float64, k int) []colValue {
-	h := &maxHeap{}
+	h := make([]colValue, 0, min(k, len(row)))
 	for j, w := range row {
-		if math.IsInf(w, 1) {
-			continue
-		}
-		if h.Len() < k {
-			heap.Push(h, colValue{col: j, value: w})
-		} else if w < (*h)[0].value {
-			(*h)[0] = colValue{col: j, value: w}
-			heap.Fix(h, 0)
-		}
+		h = offer(h, k, j, w)
 	}
-	out := make([]colValue, h.Len())
-	copy(out, *h)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].value != out[b].value {
-			return out[a].value < out[b].value
-		}
-		return out[a].col < out[b].col
-	})
-	return out
+	slices.SortFunc(h, compareColValue)
+	return h
 }
 
 // Aggregate computes the requirement of row i with cardinality k under the
@@ -179,21 +164,7 @@ func (mat *Matrix) Aggregate(i, k int, mode Mode) Requirement {
 	if k < 1 {
 		return Requirement{Workforce: linmodel.Infeasible}
 	}
-	picked := kSmallest(mat.entries[i*mat.s:(i+1)*mat.s], k)
-	if len(picked) < k {
-		return Requirement{Workforce: linmodel.Infeasible}
-	}
-	ids := make([]int, k)
-	agg := 0.0
-	for idx, cv := range picked {
-		ids[idx] = cv.col
-		if mode == SumCase {
-			agg += cv.value
-		} else {
-			agg = cv.value // ascending order: ends at the k-th smallest
-		}
-	}
-	return Requirement{Workforce: agg, Strategies: ids}
+	return aggregate(kSmallest(mat.entries[i*mat.s:(i+1)*mat.s], k), k, mode)
 }
 
 // Vector computes the aggregated requirement of every request (the vector
@@ -210,44 +181,57 @@ func (mat *Matrix) Vector(requests []strategy.Request, mode Mode) []Requirement 
 // RequirementFor computes one request's aggregated requirement directly,
 // without materializing a matrix row. It is the streaming variant used by
 // the large-scale experiments (a 10^4 x 10^4 batch would otherwise need an
-// 800 MB matrix). reqIdx follows the ModelProvider contract: a slice
-// position for batch callers, the full-width submission sequence number
-// for streaming callers.
+// 800 MB matrix) and by every admission and recovery in the server, where
+// it is the one pass over the catalog an admission makes. reqIdx follows
+// the ModelProvider contract: a slice position for batch callers, the
+// full-width submission sequence number for streaming callers.
+//
+// Its answer is bit-identical to a matrix row's Aggregate, ties included.
+// The scan calls the fused linmodel kernel once per strategy, indexing a
+// PerStrategyModels provider directly rather than through the interface,
+// and keeps the K smallest in a heap on the stack when K is at most
+// selectStack. The one allocation left is the Strategies slice of the
+// answer, which stream.Manager keeps.
 func RequirementFor(d strategy.Request, reqIdx uint64, set strategy.Set, models ModelProvider, mode Mode) Requirement {
-	if d.K < 1 {
+	// More than len(set) strategies can never be found; returning early
+	// also bounds the selection buffer by the catalog, not by the request.
+	if d.K < 1 || d.K > len(set) {
 		return Requirement{Workforce: linmodel.Infeasible}
 	}
-	h := &maxHeap{}
-	for j := range set {
-		w := models.Models(reqIdx, j).Requirement(d.Params)
-		if math.IsInf(w, 1) {
-			continue
+	var stack [selectStack]colValue
+	h := stack[:0]
+	if d.K > len(stack) {
+		h = make([]colValue, 0, d.K)
+	}
+	// The common provider is indexed in place: the interface call and the
+	// copy of its result are a third of the scan at 200 strategies.
+	if per, ok := models.(PerStrategyModels); ok {
+		for j := range set {
+			h = offer(h, d.K, j, per[j].Requirement(d.Params))
 		}
-		if h.Len() < d.K {
-			heap.Push(h, colValue{col: j, value: w})
-		} else if w < (*h)[0].value {
-			(*h)[0] = colValue{col: j, value: w}
-			heap.Fix(h, 0)
+	} else {
+		for j := range set {
+			h = offer(h, d.K, j, models.Models(reqIdx, j).Requirement(d.Params))
 		}
 	}
-	if h.Len() < d.K {
+	slices.SortFunc(h, compareColValue)
+	return aggregate(h, d.K, mode)
+}
+
+// aggregate folds picked, the selection in ascending (value, col) order,
+// into the requirement of cardinality k: Infeasible when it holds fewer
+// than k pairs.
+func aggregate(picked []colValue, k int, mode Mode) Requirement {
+	if len(picked) < k {
 		return Requirement{Workforce: linmodel.Infeasible}
 	}
-	picked := make([]colValue, h.Len())
-	copy(picked, *h)
-	sort.Slice(picked, func(a, b int) bool {
-		if picked[a].value != picked[b].value {
-			return picked[a].value < picked[b].value
-		}
-		return picked[a].col < picked[b].col
-	})
-	out := Requirement{Strategies: make([]int, d.K)}
+	out := Requirement{Strategies: make([]int, k)}
 	for idx, cv := range picked {
 		out.Strategies[idx] = cv.col
 		if mode == SumCase {
 			out.Workforce += cv.value
 		} else {
-			out.Workforce = cv.value
+			out.Workforce = cv.value // ascending order: ends at the k-th smallest
 		}
 	}
 	return out
@@ -258,17 +242,62 @@ type colValue struct {
 	value float64
 }
 
-// maxHeap keeps the k smallest values seen so far, largest on top.
-type maxHeap []colValue
+// selectStack is the largest K whose selection heap RequirementFor keeps
+// on its stack.
+const selectStack = 16
 
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i].value > h[j].value }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(colValue)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// offer feeds the candidate (col, w) to h, the K-selection: a max-heap by
+// value of the k smallest finite candidates seen so far, with cap(h) >= k.
+// It sifts exactly as container/heap's Push and Fix(h, 0) do on a heap
+// whose Less is "value greater", so among tied values the same candidates
+// survive as under the heap-based selection this replaced.
+//
+//lint:allocfree
+func offer(h []colValue, k, col int, w float64) []colValue {
+	if math.IsInf(w, 1) {
+		return h
+	}
+	if n := len(h); n < k {
+		h = h[:n+1]
+		h[n] = colValue{col: col, value: w}
+		for j := n; j > 0; {
+			i := (j - 1) / 2
+			if !(h[j].value > h[i].value) {
+				break
+			}
+			h[i], h[j] = h[j], h[i]
+			j = i
+		}
+		return h
+	}
+	if !(w < h[0].value) {
+		return h
+	}
+	h[0] = colValue{col: col, value: w}
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if j+1 < len(h) && h[j+1].value > h[j].value {
+			j++
+		}
+		if !(h[j].value > h[i].value) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h
+}
+
+// compareColValue orders a finished selection by (value, col). The
+// selection sorts with slices.SortFunc, which insertion-sorts up to 12
+// pairs and stays O(K log K) beyond, where an insertion sort of the
+// largest-first heap would be quadratic in K.
+func compareColValue(a, b colValue) int {
+	if c := cmp.Compare(a.value, b.value); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.col, b.col)
 }
