@@ -167,13 +167,3 @@ func resolveCallees(pass *Pass, g *callGraph, call *ast.CallExpr) []*cgNode {
 	}
 	return out
 }
-
-// enclosingFunc returns the graph node whose declaration contains pos.
-func (g *callGraph) enclosingFunc(pos token.Pos) *cgNode {
-	for _, n := range g.nodes {
-		if n.decl.Pos() <= pos && pos < n.decl.End() {
-			return n
-		}
-	}
-	return nil
-}

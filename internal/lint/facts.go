@@ -38,13 +38,6 @@ func (fs *factSet) has(n *cgNode) bool {
 	return ok
 }
 
-// direct reports whether n holds the fact by a direct in-body
-// occurrence.
-func (fs *factSet) direct(n *cgNode) bool {
-	w, ok := fs.m[n]
-	return ok && w.direct != token.NoPos
-}
-
 // chain renders the helper chain from n down to a direct occurrence,
 // e.g. "persist → persistInner". The terminal direct function is the
 // last element; n itself is the first. Returns "" when n holds the fact

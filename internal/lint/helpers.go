@@ -48,23 +48,6 @@ func methodOn(fn *types.Func, name, typeName, pkgBase string) bool {
 	return pathBase(obj.Pkg().Path()) == pkgBase
 }
 
-// recvName returns the name of fn's receiver type ("" for plain
-// functions), dereferencing a pointer receiver.
-func recvName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	rt := sig.Recv().Type()
-	if ptr, ok := rt.(*types.Pointer); ok {
-		rt = ptr.Elem()
-	}
-	if named, ok := rt.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
 // isFloat reports whether t's underlying type is a floating-point type.
 func isFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)

@@ -14,11 +14,11 @@ var AnalyzerWALExhaustive = &Analyzer{
 	Name: "walexhaustive",
 	Doc: `walexhaustive: every WAL kind dispatch handles every kind.
 
-A WAL op kind exists in five dispatch sites: the v3 binary encoder and
-decoder, the kind-tag mapping, the v1/v2 JSON readers' dispatch, and
-recovery replay. A kind added to the encoder but not to replay is
-tomorrow's silent data-loss bug: the op is durably logged, then
-recovery's default arm rejects (or worse, skips) it.
+A WAL op kind exists in four dispatch sites: the v3 binary encoder and
+decoder, the kind-tag mapping, and recovery replay. A kind added to the
+encoder but not to replay is tomorrow's silent data-loss bug: the op is
+durably logged, then recovery's default arm rejects (or worse, skips)
+it.
 
 The kind inventory is derived from the declarations, never hand-listed:
 the wal package's Kind* string constants form one group, its binKind*
@@ -129,7 +129,7 @@ func checkKindSwitch(pass *Pass, sw *ast.SwitchStmt, groups []*kindGroup) {
 		}
 		sort.Strings(missing)
 		pass.Reportf(sw.Pos(),
-			"WAL kind switch is not exhaustive: missing %s (the inventory is derived from the %s constants; encoder, decoder, JSON readers, and recovery replay must each handle every kind — a default arm is where an unhandled kind goes to die, not a handler)",
+			"WAL kind switch is not exhaustive: missing %s (the inventory is derived from the %s constants; encoder, decoder, kind-tag mapping and recovery replay must each handle every kind — a default arm is where an unhandled kind goes to die, not a handler)",
 			strings.Join(missing, ", "), g.label)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -13,8 +14,8 @@ import (
 	"stratrec/internal/wal"
 )
 
-// writeTenantLog writes a tenant log directly: an optional checkpoint,
-// then the tail records, each given the next sequence number.
+// writeTenantLog writes a tenant log directly: the tail records, each
+// given the next sequence number, then an optional checkpoint over them.
 func writeTenantLog(t *testing.T, dir string, cp *wal.Checkpoint, tail []wal.Record) {
 	t.Helper()
 	l, _, err := wal.Open(dir, wal.Options{})
@@ -22,13 +23,13 @@ func writeTenantLog(t *testing.T, dir string, cp *wal.Checkpoint, tail []wal.Rec
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if cp != nil {
-		if _, err := l.Checkpoint(*cp); err != nil {
+	for _, r := range tail {
+		if _, err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, r := range tail {
-		if _, err := l.Append(r); err != nil {
+	if cp != nil {
+		if _, err := l.Checkpoint(*cp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +46,9 @@ func TestRecoveryRefusals(t *testing.T) {
 		name string
 		cp   *wal.Checkpoint
 		tail []wal.Record
-		want string
+		// damage, when set, edits the written log before recovery.
+		damage func(t *testing.T, dir string)
+		want   string
 	}{
 		{
 			name: "tail epoch off by one",
@@ -69,22 +72,55 @@ func TestRecoveryRefusals(t *testing.T) {
 			}},
 			want: "re-admitting c1 (sub 0): requirement fingerprint divergence",
 		},
+		{
+			// The checkpoint deleted the segment holding seq 1, so without
+			// it the tenant would come back empty.
+			name: "unreadable sole checkpoint",
+			tail: []wal.Record{{Kind: wal.KindAvailability, W: 0.5, Epoch: 1}},
+			cp:   &wal.Checkpoint{Epoch: 1, Availability: 0.5},
+			damage: func(t *testing.T, dir string) {
+				path := filepath.Join(dir, "checkpoint-00000000000000000001.ckpt")
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[12] ^= 1
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "wal-00000000000000000002.log starts at seq 2, and no readable checkpoint covers seqs 1..1",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			write := func(dir string) {
+				writeTenantLog(t, dir, tc.cp, tc.tail)
+				if tc.damage != nil {
+					tc.damage(t, dir)
+				}
+			}
 			dir := t.TempDir()
 			tenantDir := filepath.Join(dir, "alpha")
-			writeTenantLog(t, tenantDir, tc.cp, tc.tail)
+			write(tenantDir)
+			// unlocked checks that a refusal released dir's lock. wal.Open
+			// locks before it scans, so it must succeed or meet the case's
+			// own refusal, never ErrLocked.
+			unlocked := func(how, dir string) {
+				t.Helper()
+				l, _, err := wal.Open(dir, wal.Options{})
+				if err == nil {
+					l.Close()
+				} else if errors.Is(err, wal.ErrLocked) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%s: directory still locked after the refusal: %v", how, err)
+				}
+			}
 			refused := func(how string, err error) {
 				t.Helper()
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("%s: err = %v, want it to contain %q", how, err, tc.want)
 				}
-				l, _, err := wal.Open(tenantDir, wal.Options{})
-				if err != nil {
-					t.Fatalf("%s: directory still locked after the refusal: %v", how, err)
-				}
-				l.Close()
+				unlocked(how, tenantDir)
 			}
 
 			_, err := New(Config{Tenants: map[string]TenantConfig{"alpha": fixedTenant(6, 0.7)}, DataDir: dir})
@@ -125,18 +161,14 @@ func TestRecoveryRefusals(t *testing.T) {
 				}
 			}
 			hs.Close()
-			writeTenantLog(t, filepath.Join(multi, "gamma"), tc.cp, tc.tail)
+			write(filepath.Join(multi, "gamma"))
 			all := map[string]TenantConfig{"alpha": healthy["alpha"], "beta": healthy["beta"], "gamma": fixedTenant(6, 0.7)}
 			_, err = New(Config{Tenants: all, DataDir: multi})
 			if err == nil || !strings.Contains(err.Error(), "tenant gamma") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("New with healthy tenants: err = %v, want tenant gamma's %q", err, tc.want)
 			}
 			for name := range all {
-				l, _, err := wal.Open(filepath.Join(multi, name), wal.Options{})
-				if err != nil {
-					t.Fatalf("%s still locked after the refusal: %v", name, err)
-				}
-				l.Close()
+				unlocked(name, filepath.Join(multi, name))
 			}
 		})
 	}

@@ -222,9 +222,6 @@ func validateTenantDirName(name string) error {
 // X-Trace-Id. See api.go for the routes.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// DataDir returns the durability root ("" when durability is disabled).
-func (s *Server) DataDir() string { return s.dataDir }
-
 // Tenant returns a hosted tenant by name.
 func (s *Server) Tenant(name string) (*Tenant, error) {
 	s.mu.RLock()

@@ -30,11 +30,6 @@ import (
 //	              sub (uvarint), req (float64 bits, little-endian)
 //	revoke        id (uvarint length + bytes)
 //	availability  w (float64 bits, little-endian)
-//
-// JSON frames (v1/v2) start with a lowercase-hex CRC digit, so the first
-// byte of every record cleanly discriminates the two framings and a single
-// segment may mix them — which is exactly what the v2→v3 upgrade boundary
-// leaves behind: a segment with a JSON prefix and a binary tail.
 
 const (
 	// magicV3 opens every binary frame.
@@ -56,9 +51,9 @@ const (
 )
 
 // flagInfeasible marks a submit whose aggregated requirement was +Inf at
-// admission (Record.Infeasible); unlike JSON, the binary encoding could
-// carry +Inf directly, but the flag is kept so the two formats describe
-// the same logical record schema.
+// admission (Record.Infeasible). The binary encoding could carry +Inf
+// directly; the flag describes the requirement the way a checkpoint must,
+// since checkpoint JSON cannot carry +Inf.
 const flagInfeasible = 1 << 0
 
 func binKindOf(kind string) (byte, bool) {
@@ -125,11 +120,11 @@ func EncodeRecordBinary(rec Record) ([]byte, error) {
 // DecodeRecordBinary parses one binary frame from the front of data,
 // returning the record and the number of bytes the frame occupies (so the
 // scan loop can step over it — binary frames have no line separator).
-// Errors are typed exactly like the JSON decoder's: ErrTorn when data
-// ends mid-frame (the one fault a crash legitimately produces), ErrCRC
-// for framing or checksum corruption, ErrVersion/ErrKind for CRC-valid
-// payloads this build does not speak. FuzzWALDecodeV3 hammers this
-// surface: any input must yield a record or a typed error, never a panic.
+// Errors are typed: ErrTorn when data ends mid-frame (the one fault a
+// crash legitimately produces), ErrCRC for framing or checksum
+// corruption, ErrVersion/ErrKind for CRC-valid payloads this build does
+// not speak. FuzzWALDecodeV3 hammers this surface: any input must yield a
+// record or a typed error, never a panic.
 func DecodeRecordBinary(data []byte) (Record, int, error) {
 	if len(data) == 0 {
 		return Record{}, 0, fmt.Errorf("%w: empty frame", ErrTorn)

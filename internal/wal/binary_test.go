@@ -2,10 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -113,185 +117,79 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	}
 }
 
-// writeV2Segment renders records into one v2-era JSON segment file.
-func writeV2Segment(t *testing.T, dir string, firstSeq uint64, recs []Record) {
-	t.Helper()
-	var data []byte
-	for i, rec := range recs {
-		rec.V = jsonFormatVersion
-		rec.Seq = firstSeq + uint64(i)
-		line, err := EncodeRecord(rec)
+// v2Lines renders n submit records, seqs first.., as the JSON lines a
+// v2 build appended: a hex CRC32-C, a space, the JSON payload, a newline.
+func v2Lines(tb testing.TB, first uint64, n int) []byte {
+	tb.Helper()
+	var out []byte
+	for seq := first; seq < first+uint64(n); seq++ {
+		rec := submitRec(fmt.Sprintf("d%d", seq), seq-1, seq)
+		rec.V, rec.Seq = 2, seq
+		payload, err := json.Marshal(rec)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		data = append(data, line...)
+		out = appendFrame(out, payload)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(firstSeq)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
-// writeV2Checkpoint renders a checkpoint file exactly as a v2 binary
-// would have (V=2).
-func writeV2Checkpoint(t *testing.T, dir string, cp Checkpoint) {
-	t.Helper()
-	cp.V = jsonFormatVersion
-	line, err := EncodeCheckpoint(cp)
-	if err != nil {
-		t.Fatal(err)
+// binFrames renders n submit records, seqs first.., as v3 frames.
+func binFrames(first uint64, n int) []byte {
+	var out []byte
+	for seq := first; seq < first+uint64(n); seq++ {
+		rec := submitRec(fmt.Sprintf("d%d", seq), seq-1, seq)
+		rec.Seq = seq
+		out = AppendRecordBinary(out, rec)
 	}
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(cp.Seq)), line, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
-// TestMixedVersionRecovery is the upgrade boundary end-to-end: a data dir
-// written entirely by the v2 (JSON) binary — checkpoint plus a JSON log
-// tail — is opened by this build, which appends v3 binary records into
-// the same segment. Recovery must return every record field-identically,
-// across both framings, in one contiguous sequence.
-func TestMixedVersionRecovery(t *testing.T) {
-	dir := t.TempDir()
-	writeV2Checkpoint(t, dir, Checkpoint{
-		Seq:          2,
-		Epoch:        2,
-		Availability: 0.8,
-		NextSub:      2,
-		Requests:     []CheckpointRequest{{ID: "a", Quality: 0.4, Cost: 0.3, Latency: 0.2, K: 3, Sub: 0, Req: 1.5}},
-	})
-	v2Tail := []Record{
-		{Kind: KindSubmit, ID: "b", Quality: 0.9, Cost: 0.1, Latency: 0.5, K: 2, Sub: 2, Epoch: 3, Req: 0.75},
-		{Kind: KindRevoke, ID: "a", Epoch: 4},
+// TestV2SegmentRefused: a record in the v1/v2 JSON-line framing is intact
+// data this build does not read. Wherever it sits, Scan and Open refuse
+// it with ErrVersion, naming its segment and offset, and every segment
+// stays byte-identical: the record is never truncated as a torn tail.
+func TestV2SegmentRefused(t *testing.T) {
+	head := binFrames(1, 2)
+	damaged := v2Lines(t, 1, 3)
+	damaged[12] ^= 1 // inside the first line's payload: its CRC fails
+	unterminated := v2Lines(t, 3, 1)
+	unterminated = unterminated[:len(unterminated)-1]
+	cases := []struct {
+		name string
+		segs map[uint64][]byte
+		off  int // offset in the first segment that the refusal names
+	}{
+		{"JSON segment last", map[uint64][]byte{1: v2Lines(t, 1, 3)}, 0},
+		{"JSON segment before a binary one", map[uint64][]byte{1: v2Lines(t, 1, 2), 3: binFrames(3, 2)}, 0},
+		{"JSON line after a binary head", map[uint64][]byte{1: slices.Concat(head, v2Lines(t, 3, 2))}, len(head)},
+		{"JSON segment with a damaged first line", map[uint64][]byte{1: damaged}, bytes.IndexByte(damaged, '\n') + 1},
+		{"JSON line that lost its newline", map[uint64][]byte{1: slices.Concat(head, unterminated)}, len(head)},
 	}
-	writeV2Segment(t, dir, 3, v2Tail)
-
-	// First v3 open: the v2 state recovers unchanged.
-	l, rec, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Checkpoint == nil || rec.Checkpoint.Seq != 2 || rec.Checkpoint.Epoch != 2 {
-		t.Fatalf("v2 checkpoint: %+v", rec.Checkpoint)
-	}
-	if len(rec.Tail) != 2 || rec.LastSeq != 4 {
-		t.Fatalf("v2 tail: %+v", rec)
-	}
-	for i, want := range v2Tail {
-		got := rec.Tail[i]
-		want.V, want.Seq = jsonFormatVersion, uint64(3+i)
-		if got != want {
-			t.Fatalf("tail[%d]: got %+v, want %+v", i, got, want)
-		}
-	}
-
-	// Append binary records into the same (JSON-headed) segment, plus one
-	// of each kind so every binary payload shape crosses the boundary.
-	newRecs := []Record{
-		{Kind: KindSubmit, ID: "c", Quality: 0.2, Cost: 0.6, Latency: 0.1, K: 1, Sub: 3, Epoch: 5, Req: 2.25},
-		{Kind: KindAvailability, W: 0.55, Epoch: 6},
-		{Kind: KindRevoke, ID: "b", Epoch: 7},
-	}
-	for i, r := range newRecs {
-		seq, err := l.Append(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != uint64(5+i) {
-			t.Fatalf("append seq %d, want %d", seq, 5+i)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: one scan crosses JSON → binary inside one segment.
-	got, err := Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Segments != 1 {
-		t.Fatalf("expected the mixed records in one segment, got %d", got.Segments)
-	}
-	if len(got.Tail) != 5 || got.LastSeq != 7 {
-		t.Fatalf("mixed scan: %+v", got)
-	}
-	for i, want := range append(append([]Record{}, v2Tail...), newRecs...) {
-		gotRec := got.Tail[i]
-		want.Seq = uint64(3 + i)
-		if i < len(v2Tail) {
-			want.V = jsonFormatVersion
-		} else {
-			want.V = FormatVersion
-		}
-		if gotRec != want {
-			t.Fatalf("mixed tail[%d]: got %+v, want %+v", i, gotRec, want)
-		}
-	}
-
-	// And the log keeps working after the mixed recovery: reopen, append,
-	// checkpoint (v3), reopen again.
-	l, rec, err = Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.LastSeq != 7 {
-		t.Fatalf("reopen after mix: %+v", rec)
-	}
-	if _, err := l.Append(Record{Kind: KindAvailability, W: 0.9, Epoch: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Checkpoint(Checkpoint{Epoch: 8, Availability: 0.9, NextSub: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err = Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Checkpoint == nil || got.Checkpoint.Seq != 8 || got.Checkpoint.V != FormatVersion {
-		t.Fatalf("v3 checkpoint after mixed log: %+v", got.Checkpoint)
-	}
-}
-
-// TestV2TornTailAcrossUpgrade: the crash artifact and the upgrade
-// boundary at once — a v2 segment ends in a torn JSON append; the v3
-// binary must truncate it and append binary records cleanly after.
-func TestV2TornTailAcrossUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	writeV2Segment(t, dir, 1, []Record{
-		{Kind: KindSubmit, ID: "a", K: 1, Sub: 0, Epoch: 1, Req: 1},
-		{Kind: KindSubmit, ID: "b", K: 1, Sub: 1, Epoch: 2, Req: 1},
-	})
-	path := filepath.Join(dir, segmentName(1))
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := `deadbeef {"v":2,"seq":3,"kind":"sub`
-	if _, err := f.WriteString(torn); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	l, rec, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.LastSeq != 2 || rec.TornBytes != len(torn) {
-		t.Fatalf("open over v2 torn tail: %+v", rec)
-	}
-	appendN(t, l, 2, 2)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LastSeq != 4 || len(got.Tail) != 4 || got.TornBytes != 0 {
-		t.Fatalf("after upgrade-boundary repair: %+v", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for first, data := range tc.segs {
+				if err := os.WriteFile(filepath.Join(dir, segmentName(first)), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			where := fmt.Sprintf("%s: record at offset %d", segmentName(1), tc.off)
+			if _, err := Scan(dir); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), where) {
+				t.Fatalf("scan: %v, want ErrVersion at %s", err, where)
+			}
+			if l, _, err := Open(dir, Options{}); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), where) {
+				if err == nil {
+					l.Close()
+				}
+				t.Fatalf("open: %v, want ErrVersion at %s", err, where)
+			}
+			for first, want := range tc.segs {
+				if got, err := os.ReadFile(filepath.Join(dir, segmentName(first))); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s changed under the refused open (read err %v)", segmentName(first), err)
+				}
+			}
+		})
 	}
 }
 

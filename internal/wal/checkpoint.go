@@ -75,11 +75,11 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("%w: %v", ErrCheckpoint, err)
 	}
 	// v2 checkpoints carry the identical schema under the identical JSON
-	// framing — only the record framing changed in v3 — so a v2-written
-	// data dir recovers unchanged under this build.
-	if cp.V != FormatVersion && cp.V != jsonFormatVersion {
-		return Checkpoint{}, fmt.Errorf("%w: version %d (this build reads %d and %d)",
-			ErrCheckpoint, cp.V, jsonFormatVersion, FormatVersion)
+	// framing — only the record framing changed in v3 — so both stamps
+	// decode.
+	if cp.V != FormatVersion && cp.V != 2 {
+		return Checkpoint{}, fmt.Errorf("%w: version %d (this build reads 2 and %d)",
+			ErrCheckpoint, cp.V, FormatVersion)
 	}
 	return cp, nil
 }

@@ -2,60 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
-// FuzzWALDecode hammers the log-record decoder with arbitrary bytes: any
-// input must either produce a record that re-encodes to the same framed
-// line, or a typed error — never a panic, and never a record whose
-// re-encoding disagrees with what was decoded (which would mean two
-// different byte strings can claim the same record).
-func FuzzWALDecode(f *testing.F) {
-	// Seed with valid frames of every kind, plus near-misses.
-	for _, rec := range []Record{
-		{V: jsonFormatVersion, Seq: 1, Kind: KindSubmit, ID: "d1", Quality: 0.4, Cost: 0.3, Latency: 0.2, K: 3, Sub: 0, Epoch: 1},
-		{V: jsonFormatVersion, Seq: 2, Kind: KindRevoke, ID: "d1", Epoch: 2},
-		{V: jsonFormatVersion, Seq: 3, Kind: KindAvailability, W: 0.7, Epoch: 2},
-	} {
-		line, err := EncodeRecord(rec)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(line)
-	}
-	f.Add([]byte(""))
-	f.Add([]byte("00000000 {}"))
-	f.Add([]byte("deadbeef {\"v\":1,\"seq\":9,\"kind\":\"submit\",\"epoch\":0}"))
-	f.Add(frame([]byte(`{"v":1,"seq":9,"kind":"submit","epoch":0}`)))
-	f.Add(frame([]byte(`{"v":2,"seq":9,"kind":"submit","epoch":0}`)))
-	f.Add(frame([]byte(`{"v":3,"seq":9,"kind":"submit","epoch":0}`)))
-
-	f.Fuzz(func(t *testing.T, line []byte) {
-		rec, err := DecodeRecord(line)
-		if err != nil {
-			return // typed rejection is always acceptable
-		}
-		// Accepted records must round-trip: re-encoding yields a line that
-		// decodes to the identical record.
-		line2, err := EncodeRecord(rec)
-		if err != nil {
-			t.Fatalf("decoded record %+v does not re-encode: %v", rec, err)
-		}
-		rec2, err := DecodeRecord(line2)
-		if err != nil {
-			t.Fatalf("re-encoded line %q does not decode: %v", line2, err)
-		}
-		if rec2 != rec {
-			t.Fatalf("round trip drift:\n first %+v\nsecond %+v", rec, rec2)
-		}
-		// A well-formed frame is canonical modulo its trailing newline.
-		if trimmed := bytes.TrimSuffix(line, []byte("\n")); bytes.ContainsAny(trimmed, "\n") {
-			t.Fatalf("accepted multi-line frame %q", line)
-		}
-	})
-}
-
-// FuzzWALDecodeV3 is the binary-framing counterpart: arbitrary bytes must
+// FuzzWALDecodeV3 hammers the record decoder: arbitrary bytes must
 // decode to a record whose re-encoding is byte-identical to the consumed
 // frame, or fail with a typed error — never panic, never accept two
 // different byte strings for the same record. (Byte comparison rather than
@@ -86,6 +40,73 @@ func FuzzWALDecodeV3(f *testing.F) {
 		enc := AppendRecordBinary(nil, rec)
 		if !bytes.Equal(enc, data[:n]) {
 			t.Fatalf("non-canonical frame accepted:\n consumed %x\nre-encode %x\nrecord %+v", data[:n], enc, rec)
+		}
+	})
+}
+
+// FuzzScan writes arbitrary bytes as a log's only segment, with no
+// checkpoint, and holds recovery to its contract. Either the scan refuses
+// with a typed error, and Open refuses too and leaves the segment as it
+// was, or the scan accounts for every byte: its records, re-encoded and
+// joined in order, are exactly the segment minus its last TornBytes, and
+// Open followed by Close leaves exactly that prefix on disk.
+func FuzzScan(f *testing.F) {
+	seg := binFrames(1, 3)
+	f.Add(seg)
+	f.Add([]byte{})
+	f.Add(seg[:len(seg)-4])                                           // torn payload
+	f.Add(slices.Concat(seg, []byte{magicV3, 7}))                     // torn header
+	f.Add(slices.Concat(binFrames(1, 1), []byte{0}, binFrames(2, 1))) // mid-log garbage
+	f.Add(binFrames(2, 2))                                            // gap at the head
+	f.Add(AppendRecordBinary(nil, Record{Kind: KindRevoke, ID: "x"})) // seq 0
+	f.Add(v2Lines(f, 1, 3))
+	f.Add(slices.Concat(binFrames(1, 2), v2Lines(f, 3, 1)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segmentName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Scan(dir)
+		if err != nil {
+			typed := false
+			for _, want := range []error{ErrTorn, ErrCRC, ErrKind, ErrVersion, ErrSequence} {
+				typed = typed || errors.Is(err, want)
+			}
+			if !typed {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			if l, _, err := Open(dir, Options{}); err == nil {
+				l.Close()
+				t.Fatal("Open recovered a segment Scan refused")
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("refused Open changed the segment (read err %v)", err)
+			}
+			return
+		}
+		if rec.TornBytes < 0 || rec.TornBytes > len(data) || rec.LastSeq != uint64(len(rec.Tail)) {
+			t.Fatalf("scan accounting: %d torn of %d bytes, last seq %d, %d records",
+				rec.TornBytes, len(data), rec.LastSeq, len(rec.Tail))
+		}
+		keep := data[:len(data)-rec.TornBytes]
+		var enc []byte
+		for _, r := range rec.Tail {
+			enc = AppendRecordBinary(enc, r)
+		}
+		if !bytes.Equal(enc, keep) {
+			t.Fatalf("records re-encode to %x, want the untorn prefix %x", enc, keep)
+		}
+		l, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open refused a segment Scan recovered: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, keep) {
+			t.Fatalf("after Open and Close the segment is %x, want %x (read err %v)", got, keep, err)
 		}
 	})
 }

@@ -80,9 +80,6 @@ type scanState struct {
 	// validOffset is the byte offset of the end of the last intact record
 	// in lastSegPath; everything after it is torn and must be truncated.
 	validOffset int64
-	// needNewline is set when the last intact record's trailing newline
-	// itself was lost (CRC-complete line at EOF without '\n').
-	needNewline bool
 }
 
 // Scan reads a tenant's log directory without modifying it: newest valid
@@ -110,6 +107,16 @@ func scan(dir string) (scanState, error) {
 	}
 	st.rec.LastSeq = cpSeq
 
+	// Segment names carry their first seq, and a checkpoint deletes only
+	// the segments it covers, so the oldest segment starts at or before
+	// the first seq the checkpoint does not cover. A later start means
+	// the checkpoint that covered the gap is unreadable, and recovering
+	// without it would silently empty the tenant.
+	if len(segs) > 0 && segs[0] > cpSeq+1 {
+		return st, fmt.Errorf("%w: %s starts at seq %d, and no readable checkpoint covers seqs %d..%d",
+			ErrSequence, segmentName(segs[0]), segs[0], cpSeq+1, segs[0]-1)
+	}
+
 	want := cpSeq + 1 // next tail sequence number we accept
 	for si, first := range segs {
 		path := filepath.Join(dir, segmentName(first))
@@ -126,39 +133,14 @@ func scan(dir string) (scanState, error) {
 		st.rec.Segments++
 		off := int64(0)
 		for off < int64(len(data)) {
-			// The first byte discriminates the framings: 0xB3 opens a v3
-			// binary frame, a hex digit opens a v1/v2 JSON line. A segment
-			// may mix them — the upgrade restart appends binary records
-			// after the JSON head the old binary wrote.
-			var (
-				rec  Record
-				derr error
-				size int64
-			)
-			if data[off] == magicV3 {
-				r, n, e := DecodeRecordBinary(data[off:])
-				rec, derr, size = r, e, int64(n)
-			} else {
-				nl := bytes.IndexByte(data[off:], '\n')
-				var line []byte
-				complete := nl >= 0
-				if complete {
-					line = data[off : off+int64(nl)]
-					size = int64(nl) + 1
-				} else {
-					line = data[off:]
-					size = int64(len(data)) - off
-				}
-				rec, derr = DecodeRecord(line)
-				if derr == nil && !complete && last {
-					// CRC-complete record that lost only its newline: keep
-					// it, but remember to restore the separator before
-					// appending (a binary frame written straight after it
-					// would otherwise fuse with the line and corrupt both).
-					st.needNewline = true
-				}
-			}
+			rec, size, derr := DecodeRecordBinary(data[off:])
 			if derr != nil {
+				if at := jsonLineFrom(data, int(off)); at >= 0 {
+					// An intact record in the framing older builds wrote:
+					// refuse it rather than drop it as a torn tail.
+					return st, fmt.Errorf("%w: %s: record at offset %d is a v1/v2 JSON line; this build reads only v%d binary frames",
+						ErrVersion, segmentName(first), at, FormatVersion)
+				}
 				if last && !validRecordFollows(data, off) {
 					// The one legitimate fault: a torn append at the very
 					// tail — an unreadable final record with nothing valid
@@ -171,7 +153,11 @@ func scan(dir string) (scanState, error) {
 				// recover a log with a hole in it.
 				return st, fmt.Errorf("wal: %s: record at offset %d: %w", segmentName(first), off, derr)
 			}
-			if rec.Seq > cpSeq {
+			// Records the checkpoint covers precede the tail only in a
+			// segment a crash kept from deletion; every other record,
+			// seq 0 and regressions included, must be the next seq.
+			covered := rec.Seq >= 1 && rec.Seq <= cpSeq && want == cpSeq+1
+			if !covered {
 				if rec.Seq != want {
 					return st, fmt.Errorf("%w: %s offset %d: want seq %d, got %d",
 						ErrSequence, segmentName(first), off, want, rec.Seq)
@@ -180,7 +166,7 @@ func scan(dir string) (scanState, error) {
 				st.rec.Tail = append(st.rec.Tail, rec)
 				st.rec.LastSeq = rec.Seq
 			}
-			off += size
+			off += int64(size)
 			if last {
 				st.validOffset = off
 			}
@@ -189,27 +175,34 @@ func scan(dir string) (scanState, error) {
 	return st, nil
 }
 
+// jsonLineFrom returns the offset of the first intact v1/v2 JSON-line
+// record that starts at off or right after a later newline, or -1 when
+// there is none. A line is intact when the bytes up to its newline (or
+// the end of data, should the newline itself be lost) pass the CRC check
+// of the JSON-line frame. Probing past off keeps a JSON segment whose
+// first line is damaged from passing for one long torn tail.
+func jsonLineFrom(data []byte, off int) int {
+	for {
+		line, _, more := bytes.Cut(data[off:], []byte("\n"))
+		if _, err := decodeFrame(line); err == nil {
+			return off
+		}
+		if !more {
+			return -1
+		}
+		off += len(line) + 1
+	}
+}
+
 // validRecordFollows reports whether any complete, decodable record
 // exists after the broken record starting at off — distinguishing a torn
 // tail (nothing valid follows) from mid-log corruption (valid data
-// follows). A torn binary frame gives no way to know where the next
-// record would have started, so every plausible start after off is
-// probed: each magic byte (binary frame) and each position following a
-// newline (JSON line).
+// follows). A torn frame gives no way to know where the next record
+// would have started, so every magic byte after off is probed.
 func validRecordFollows(data []byte, off int64) bool {
 	for i := int(off) + 1; i < len(data); i++ {
 		if data[i] == magicV3 {
 			if _, _, err := DecodeRecordBinary(data[i:]); err == nil {
-				return true
-			}
-		}
-		if data[i] == '\n' && i+1 < len(data) && data[i+1] != magicV3 {
-			rest := data[i+1:]
-			line := rest
-			if end := bytes.IndexByte(rest, '\n'); end >= 0 {
-				line = rest[:end]
-			}
-			if _, err := DecodeRecord(line); err == nil {
 				return true
 			}
 		}
@@ -304,14 +297,7 @@ func Open(dir string, opts Options) (*Log, Recovered, error) {
 		l.segFirst = st.lastSegFirst
 		l.logicalOff = st.validOffset
 		l.durableOff = st.validOffset
-		if st.needNewline {
-			if _, err := l.w.WriteString("\n"); err != nil {
-				f.Close()
-				return nil, Recovered{}, err
-			}
-			l.logicalOff++
-		}
-		if st.rec.TornBytes > 0 || st.needNewline {
+		if st.rec.TornBytes > 0 {
 			// Make the repair durable before any new append lands on top.
 			if err := l.sync(); err != nil {
 				f.Close()
@@ -547,9 +533,6 @@ func (l *Log) Appends() uint64 { return l.appends.Load() }
 // Syncs returns the number of fsync batches since Open. Safe from any
 // goroutine.
 func (l *Log) Syncs() uint64 { return l.syncs.Load() }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Broken reports whether an append or sync has failed since Open. A
 // broken log rejects further appends and Close will discard (not flush)

@@ -12,33 +12,31 @@
 //	    wal-00000000000000000421.log    current segment, open for append
 //	    checkpoint-00000000000000000420.ckpt
 //
-// A log segment is a sequence of framed records in one of two framings.
-// New records are written in the v3 binary framing (see binary.go):
+// A log segment is a sequence of v3 binary frames (see binary.go):
 //
 //	<0xB3> <payload len, u32 LE> <crc32c, u32 LE> <payload>
 //
-// Older segments — and the head of the segment that was live at the
-// v2→v3 upgrade — hold the v1/v2 JSON framing, one record per line:
+// The CRC covers exactly the payload bytes, so any torn or corrupted
+// record is detected before it is trusted. Payloads are versioned
+// (Record.V) and carry a log-wide monotonically increasing sequence
+// number assigned at append time; recovery rejects gaps and regressions,
+// and tolerates exactly one torn record at the very tail of the last
+// segment (the unacknowledged write a crash can leave behind), which is
+// truncated away before the log reopens for append. Records in the v1/v2
+// JSON-line framing that builds before v3 wrote are not read: a scan
+// that meets one refuses the log with ErrVersion instead of truncating it
+// as a torn tail.
+//
+// A checkpoint file is a single framed line,
 //
 //	<crc32c hex, 8 chars> <space> <JSON payload> <newline>
 //
-// The first byte discriminates the framings (JSON frames start with a
-// lowercase-hex digit, never 0xB3), so one segment may mix them and the
-// scan handles the upgrade boundary without a migration step. In both
-// framings the CRC covers exactly the payload bytes, so any torn or
-// corrupted record is detected before it is trusted. Payloads are
-// versioned (Record.V) and carry a log-wide monotonically increasing
-// sequence number assigned at append time; recovery rejects gaps and
-// regressions, and tolerates exactly one torn record at the very tail of
-// the last segment (the unacknowledged write a crash can leave behind),
-// which is truncated away before the log reopens for append.
-//
-// A checkpoint file is a single framed line whose payload is a Checkpoint:
-// the full tenant state (open requests in admission order with their
-// submission sequence numbers, availability, plan epoch, submission
-// counter) as of WAL sequence number Seq. Writing a checkpoint rotates the
-// log onto a fresh segment and deletes every segment and checkpoint made
-// obsolete by it, which is how the log is truncated.
+// whose payload is a Checkpoint: the full tenant state (open requests in
+// admission order with their submission sequence numbers, availability,
+// plan epoch, submission counter) as of WAL sequence number Seq. Writing
+// a checkpoint rotates the log onto a fresh segment and deletes every
+// segment and checkpoint made obsolete by it, which is how the log is
+// truncated.
 //
 // # Fault model
 //
@@ -68,8 +66,6 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -88,15 +84,11 @@ import (
 //	    mutation, serving-set change or not), and submit records carry
 //	    the admitted request's computed workforce requirement as a
 //	    recovery fingerprint.
-//	3 — same record schema as v2, binary framing (binary.go): no JSON
-//	    on the append or replay hot path. v2 JSON records remain
-//	    readable forever; v2 and v3 records may share a segment.
+//	3 — same record schema as v2, binary framing (binary.go). This
+//	    build reads v3 records only and refuses a v1/v2 JSON-line
+//	    record with ErrVersion. Checkpoints keep their JSON-line
+//	    framing, and v2 checkpoints stay readable.
 const FormatVersion = 3
-
-// jsonFormatVersion is the newest JSON-framed record version this build
-// still reads. v3 records are binary-only, so a CRC-valid JSON payload
-// claiming v3 was not written by any released encoder and is rejected.
-const jsonFormatVersion = 2
 
 // Record kinds mirror the three mutations of a stream.Manager.
 const (
@@ -149,7 +141,9 @@ type Record struct {
 }
 
 // Decode errors. ErrTorn marks frames that end mid-record (the one fault
-// a crash legitimately produces); the others mark corruption.
+// a crash legitimately produces); ErrVersion marks an intact record in a
+// format this build does not read, such as a v1/v2 JSON line; the others
+// mark corruption.
 var (
 	ErrTorn    = errors.New("wal: torn record")
 	ErrCRC     = errors.New("wal: CRC mismatch")
@@ -172,18 +166,6 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, '\n')
 }
 
-// EncodeRecord renders one JSON-framed log line for the record — the
-// v1/v2 framing. The live append path writes binary v3 frames
-// (AppendRecordBinary); this encoder remains for tests and tools that
-// fabricate upgrade-era logs.
-func EncodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return appendFrame(make([]byte, 0, len(payload)+frameOverhead), payload), nil
-}
-
 // decodeFrame verifies one framed line (without its trailing newline) and
 // returns the JSON payload. The caller decides what the payload is.
 func decodeFrame(line []byte) ([]byte, error) {
@@ -202,35 +184,4 @@ func decodeFrame(line []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: want %08x, got %08x", ErrCRC, want, got)
 	}
 	return payload, nil
-}
-
-// DecodeRecord parses and verifies one JSON-framed log line (with or
-// without its trailing newline) — the v1/v2 framing the scan falls back
-// to for lines that do not open with the binary magic byte. It is the
-// surface FuzzWALDecode hammers: any input must either yield a valid
-// record or a typed error, never a panic or a silently wrong record.
-func DecodeRecord(line []byte) (Record, error) {
-	line = bytes.TrimSuffix(line, []byte("\n"))
-	payload, err := decodeFrame(line)
-	if err != nil {
-		return Record{}, err
-	}
-	var rec Record
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		// The CRC matched, so this is not corruption in transit but a
-		// frame written by something else entirely.
-		return Record{}, fmt.Errorf("%w: CRC-valid frame with bad payload: %v", ErrKind, err)
-	}
-	if rec.V != jsonFormatVersion {
-		return Record{}, fmt.Errorf("%w: JSON frame version %d (this build reads v%d JSON and v%d binary)",
-			ErrVersion, rec.V, jsonFormatVersion, FormatVersion)
-	}
-	switch rec.Kind {
-	case KindSubmit, KindRevoke, KindAvailability:
-	default:
-		return Record{}, fmt.Errorf("%w: %q", ErrKind, rec.Kind)
-	}
-	return rec, nil
 }

@@ -26,72 +26,6 @@ func appendN(t *testing.T, l *Log, n int, from uint64) {
 	}
 }
 
-func TestRecordRoundTrip(t *testing.T) {
-	// The JSON framing is frozen at v2: the encoder/decoder pair stays
-	// round-trip-exact so upgrade-era log heads keep recovering.
-	recs := []Record{
-		submitRec("a", 0, 1),
-		{Kind: KindRevoke, ID: "a", Epoch: 2},
-		{Kind: KindAvailability, W: 0.35, Epoch: 3},
-	}
-	for _, rec := range recs {
-		rec.V = jsonFormatVersion
-		rec.Seq = 7
-		line, err := EncodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeRecord(line)
-		if err != nil {
-			t.Fatalf("decode %q: %v", line, err)
-		}
-		if got != rec {
-			t.Fatalf("round trip: got %+v, want %+v", got, rec)
-		}
-	}
-}
-
-func TestDecodeRejects(t *testing.T) {
-	line, err := EncodeRecord(Record{V: jsonFormatVersion, Seq: 1, Kind: KindSubmit, ID: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		in   []byte
-		want error
-	}{
-		{"empty", nil, ErrTorn},
-		{"short", []byte("00aa"), ErrTorn},
-		{"flipped payload bit", append([]byte{}, flip(line, 12)...), ErrCRC},
-		{"flipped crc bit", append([]byte{}, flip(line, 0)...), ErrCRC},
-		{"no space", []byte(strings.Replace(string(line), " ", "_", 1)), ErrCRC},
-		{"crc-valid garbage", frame([]byte("not json")), ErrKind},
-		{"wrong version", frame([]byte(`{"v":99,"seq":1,"kind":"submit","epoch":0}`)), ErrVersion},
-		{"v3 json frame", frame([]byte(`{"v":3,"seq":1,"kind":"submit","epoch":0}`)), ErrVersion},
-		{"unknown kind", frame([]byte(`{"v":2,"seq":1,"kind":"explode","epoch":0}`)), ErrKind},
-		{"unknown field", frame([]byte(`{"v":2,"seq":1,"kind":"submit","zzz":4,"epoch":0}`)), ErrKind},
-	}
-	for _, tc := range cases {
-		if _, err := DecodeRecord(tc.in); !errors.Is(err, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
-		}
-	}
-}
-
-func flip(line []byte, i int) []byte {
-	out := append([]byte{}, line...)
-	// Flip within the hex/json alphabet so framing still parses.
-	if out[i] == '0' {
-		out[i] = '1'
-	} else {
-		out[i] = '0'
-	}
-	return out
-}
-
-func frame(payload []byte) []byte { return appendFrame(nil, payload) }
-
 func TestAppendScanRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, rec, err := Open(dir, Options{})
@@ -277,53 +211,6 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestMissingTrailingNewlineKept: a v2-era segment whose final JSON
-// record lost only its newline (CRC-complete line at EOF) must keep the
-// record, and the reopening v3 binary must restore the separator before
-// appending binary frames after it — a binary frame fused onto the
-// newline-less line would corrupt both records.
-func TestMissingTrailingNewlineKept(t *testing.T) {
-	dir := t.TempDir()
-	var data []byte
-	for i := 0; i < 3; i++ {
-		rec := submitRec(fmt.Sprintf("d%d", i), uint64(i), uint64(i))
-		rec.V = jsonFormatVersion
-		rec.Seq = uint64(i + 1)
-		line, err := EncodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = append(data, line...)
-	}
-	// Chop only the final newline: the record itself is CRC-complete and
-	// must survive recovery.
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data[:len(data)-1], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l, rec, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.LastSeq != 3 || len(rec.Tail) != 3 {
-		t.Fatalf("newline-less tail: %+v", rec)
-	}
-	appendN(t, l, 1, 3) // a binary v3 record lands after the repaired line
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.LastSeq != 4 || len(got.Tail) != 4 {
-		t.Fatalf("after newline repair: %+v", got)
-	}
-	if got.Tail[2].V != jsonFormatVersion || got.Tail[3].V != FormatVersion {
-		t.Fatalf("expected v2 head + v3 tail, got versions %d, %d", got.Tail[2].V, got.Tail[3].V)
-	}
-}
-
 func TestCorruptionMidLogRejected(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{})
@@ -360,41 +247,60 @@ func TestCorruptionMidLogRejected(t *testing.T) {
 	}
 }
 
+// TestSequenceGapRejected: a CRC-valid record that breaks the contiguous
+// seq run is corruption, not a record to skip. Besides a gap, that holds
+// for seq 0 and for a seq that falls back below the checkpoint once the
+// tail began: records the checkpoint covers are skipped only ahead of the
+// tail, where a crash before segment deletion leaves them.
 func TestSequenceGapRejected(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 2, 0)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _, _ := listDir(dir)
-	path := filepath.Join(dir, segmentName(segs[0]))
+	for _, tc := range []struct {
+		name string
+		ckpt int      // records appended before a checkpoint; 0 takes none
+		seqs []uint64 // hand-appended after two more records
+	}{
+		{"gap", 0, []uint64{9, 10}},
+		{"seq 0", 0, []uint64{0}},
+		{"below the checkpoint after the tail", 3, []uint64{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, l, tc.ckpt, 0)
+			if tc.ckpt > 0 {
+				if _, err := l.Checkpoint(Checkpoint{NextSub: uint64(tc.ckpt)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appendN(t, l, 2, uint64(tc.ckpt))
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, _, _ := listDir(dir)
+			path := filepath.Join(dir, segmentName(segs[len(segs)-1]))
 
-	// Hand-append a CRC-valid record with a gapped sequence number,
-	// followed by another valid record so the gap is not a tail fault.
-	var extra []byte
-	for _, seq := range []uint64{9, 10} {
-		line, err := EncodeRecord(Record{V: jsonFormatVersion, Seq: seq, Kind: KindRevoke, ID: "x", Epoch: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// EncodeRecord assigns nothing; frame manually to keep seq 9.
-		extra = append(extra, line...)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(extra); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			// Hand-append CRC-valid records with the broken sequence numbers;
+			// a gapped record is followed by another valid record so the gap
+			// is not a tail fault.
+			var extra []byte
+			for _, seq := range tc.seqs {
+				extra = AppendRecordBinary(extra, Record{Seq: seq, Kind: KindRevoke, ID: "x", Epoch: 1})
+			}
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(extra); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	if _, err := Scan(dir); !errors.Is(err, ErrSequence) {
-		t.Fatalf("gapped log scanned without error: %v", err)
+			if _, err := Scan(dir); !errors.Is(err, ErrSequence) {
+				t.Fatalf("broken sequence scanned without error: %v", err)
+			}
+		})
 	}
 }
 
@@ -490,5 +396,45 @@ func TestCheckpointFallbackOnCorruptNewest(t *testing.T) {
 	}
 	if got.Checkpoint == nil || got.Checkpoint.Seq != 2 || len(got.Tail) != 2 || got.LastSeq != 4 {
 		t.Fatalf("fallback scan: %+v", got)
+	}
+}
+
+// TestUnreadableSoleCheckpointRefused: a checkpoint deletes the segments
+// it covers, so when the only checkpoint is unreadable, the oldest
+// segment left starts past every seq the scan can account for.
+// Recovering without the checkpoint would serve an empty tenant and
+// restart the sequence at 1 inside a segment named for seq 6; recovery
+// refuses with ErrSequence instead, naming that segment.
+func TestUnreadableSoleCheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 5, 0)
+	if _, err := l.Checkpoint(Checkpoint{NextSub: 5, Epoch: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, checkpointName(5))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[12] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Scan(dir); !errors.Is(err, ErrSequence) || !strings.Contains(err.Error(), segmentName(6)) {
+		t.Fatalf("scan over an unreadable sole checkpoint: %v, want ErrSequence naming %s", err, segmentName(6))
+	}
+	if l, _, err := Open(dir, Options{}); !errors.Is(err, ErrSequence) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("open over an unreadable sole checkpoint: %v, want ErrSequence", err)
 	}
 }
