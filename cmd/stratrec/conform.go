@@ -56,7 +56,7 @@ func runConform(args []string) error {
 		maxProbes  = fs.Int("minimize-probes", 600, "delta-debugging probe budget")
 		quiet      = fs.Bool("quiet", false, "suppress the progress line")
 		viaBatch   = fs.Bool("via-batch", false, "route every mutation through POST /v1/tenants/{tenant}/ops as a one-op batch (steady/chaos and crash-recovery profiles)")
-		gcWindow   = fs.Duration("wal-group-commit-window", 0, "crash-recovery and overload profiles: the server's WAL commit window (0 = commit each batch as soon as it is appended)")
+		gcWindow   = fs.Duration("wal-group-commit-window", 0, "crash-recovery and overload profiles: the server's WAL commit window, the longest a round waits for tenant loops still mid-cycle, never for an idle loop (0 = commit each batch as soon as it is appended)")
 
 		crashCut  = fs.Int("crash-cut", -1, "crash-recovery: event index to kill at (-1 = seeded mid-trace point)")
 		crashDir  = fs.String("crash-data-dir", "", "crash-recovery: durability dir (empty = temp dir; kept on failure either way)")

@@ -45,7 +45,7 @@ func runRecover(args []string) error {
 		return err
 	}
 	if *dataDir == "" {
-		return fmt.Errorf("recover: -data-dir is required")
+		return fmt.Errorf("-data-dir is required")
 	}
 
 	names, err := tenantDirs(*dataDir)
@@ -53,14 +53,14 @@ func runRecover(args []string) error {
 		return err
 	}
 	if len(names) == 0 {
-		return fmt.Errorf("recover: no tenant directories under %s", *dataDir)
+		return fmt.Errorf("no tenant directories under %s", *dataDir)
 	}
 
 	fmt.Printf("recover: %d tenant(s) under %s\n", len(names), *dataDir)
 	for _, name := range names {
 		rec, err := wal.Scan(filepath.Join(*dataDir, name))
 		if err != nil {
-			return fmt.Errorf("recover: tenant %s: %w", name, err)
+			return fmt.Errorf("tenant %s: %w", name, err)
 		}
 		fmt.Printf("  %s: ", name)
 		if cp := rec.Checkpoint; cp != nil {
@@ -91,7 +91,7 @@ func runRecover(args []string) error {
 	}
 	for _, name := range names {
 		if _, ok := cfg.Tenants[name]; !ok {
-			return fmt.Errorf("recover: tenant %s exists on disk but not in the given catalogs; pass the same -tenants/-seed flags serve ran with", name)
+			return fmt.Errorf("tenant %s exists on disk but not in the given catalogs; pass the same -tenants/-seed flags serve ran with", name)
 		}
 	}
 	// Verify only what is on disk: catalog tenants without a directory
@@ -114,7 +114,7 @@ func runRecover(args []string) error {
 	start := time.Now()
 	s, err := server.New(cfg)
 	if err != nil {
-		return fmt.Errorf("recover: verification FAILED: %w", err)
+		return fmt.Errorf("verification FAILED: %w", err)
 	}
 	took := time.Since(start)
 	defer s.Close()

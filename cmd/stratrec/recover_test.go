@@ -157,9 +157,14 @@ func TestRecoverVerifyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoverRequiresDataDir: the flag is mandatory.
+// TestRecoverRequiresDataDir: the flag is mandatory. The error carries no
+// "recover:" prefix of its own: main prints "stratrec recover: " before it.
 func TestRecoverRequiresDataDir(t *testing.T) {
-	if _, err := capture(t, func() error { return runRecover(nil) }); err == nil {
+	_, err := capture(t, func() error { return runRecover(nil) })
+	if err == nil {
 		t.Fatal("recover without -data-dir succeeded")
+	}
+	if strings.HasPrefix(err.Error(), "recover:") {
+		t.Fatalf("error %q repeats the prefix main prints", err)
 	}
 }

@@ -46,7 +46,7 @@ func runServe(args []string) error {
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 
 		dataDir   = fs.String("data-dir", "", "durability root: per-tenant write-ahead log + checkpoints, recovered on startup; empty disables durability")
-		gcWindow  = fs.Duration("wal-group-commit-window", 0, "WAL commit window: tenant loops that finish a batch within it share one fsync round (e.g. 500us); 0 commits each batch as soon as it is appended")
+		gcWindow  = fs.Duration("wal-group-commit-window", 0, "WAL commit window: the longest a commit round waits for tenant loops still mid-cycle, never for an idle loop; 0 (recommended) commits each batch as soon as it is appended")
 		ckptEvery = fs.Int("checkpoint-every", 10000, "auto-checkpoint a tenant after n WAL records since the last checkpoint (0 = only via POST /admin/checkpoint)")
 	)
 	if err := fs.Parse(args); err != nil {

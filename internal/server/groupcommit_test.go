@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,6 +117,9 @@ func TestGroupCommitFailureNoTrace(t *testing.T) {
 		t.Fatalf("write after failed round: %v, want ErrWALBroken", err)
 	}
 	snapshotsEqual(t, want, tn.Snapshot())
+	if n := s1.gc.busy.Load(); n != 0 {
+		t.Fatalf("busy = %d after the failed round, want 0", n)
+	}
 	s1.Close()
 
 	// Restart without the fault: exactly the acknowledged state returns.
@@ -223,6 +228,9 @@ func TestGroupCommitMidBatchAppendFailureNoLostRollback(t *testing.T) {
 	if _, ok := want.Request("gate"); !ok {
 		t.Fatal("durably committed gate submit missing from the snapshot")
 	}
+	if n := s1.gc.busy.Load(); n != 0 {
+		t.Fatalf("busy = %d after the failed batch, want 0: its cycle neither committed nor left", n)
+	}
 	s1.Close()
 
 	// Restart without the fault: exactly the durable prefix — the gate
@@ -285,6 +293,9 @@ func TestGroupCommitConcurrentTenantsUnderRace(t *testing.T) {
 		want[name] = tn.Snapshot()
 	}
 	s1.Close()
+	if n := s1.gc.busy.Load(); n != 0 {
+		t.Fatalf("busy = %d after Close, want 0: a mutation cycle neither committed nor left", n)
+	}
 
 	s2, err := New(cfg)
 	if err != nil {
@@ -383,6 +394,9 @@ func TestServerCloseOrderingNoDirectSyncs(t *testing.T) {
 	if s.gc.rounds.Load() == 0 {
 		t.Fatal("no commit rounds — the test never exercised the scheduler")
 	}
+	if n := s.gc.busy.Load(); n != 0 {
+		t.Fatalf("busy = %d after Close, want 0: a mutation cycle neither committed nor left", n)
+	}
 }
 
 // TestZeroWindowCommitsEachBatch: a durable server without a window still
@@ -408,5 +422,275 @@ func TestZeroWindowCommitsEachBatch(t *testing.T) {
 	rounds, syncs, direct := s.gc.rounds.Load(), tn.wal.Syncs(), s.gc.directSyncs.Load()
 	if rounds != n || syncs != n || direct != 0 {
 		t.Fatalf("rounds=%d syncs=%d direct_syncs=%d, want %d, %d, 0", rounds, syncs, direct, n, n)
+	}
+}
+
+// timedResult is a submit's error and how long the call took.
+type timedResult struct {
+	err     error
+	elapsed time.Duration
+}
+
+// timedSubmit submits id in the background.
+func timedSubmit(tn *Tenant, id string) <-chan timedResult {
+	done := make(chan timedResult, 1)
+	go func() {
+		start := time.Now()
+		_, err := tn.Submit(context.Background(), submitReqN(id, 0.52))
+		done <- timedResult{err, time.Since(start)}
+	}()
+	return done
+}
+
+// TestGroupCommitLoneTenantSkipsWindow: a round that no other loop can
+// join closes at once, so a lone durable tenant never waits out even a
+// 10 s window, and no round is held.
+func TestGroupCommitLoneTenantSkipsWindow(t *testing.T) {
+	s, err := New(Config{
+		Tenants:              map[string]TenantConfig{"alpha": fixedTenant(6, 0.7)},
+		DataDir:              t.TempDir(),
+		WALGroupCommitWindow: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tn, _ := s.Tenant("alpha")
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		if _, err := tn.Submit(context.Background(), submitReqN(fmt.Sprintf("l%d", i), 0.52)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("submit %d took %v: the round waited for an idle loop", i, d)
+		}
+	}
+	if rounds, held, busy := s.gc.rounds.Load(), s.gc.heldRounds.Load(), s.gc.busy.Load(); rounds != 5 || held != 0 || busy != 0 {
+		t.Fatalf("rounds=%d heldRounds=%d busy=%d, want 5, 0, 0", rounds, held, busy)
+	}
+}
+
+// TestGroupCommitWaitsForBusyLoop: while beta's loop is mid-cycle, the
+// round alpha opened waits for it, and closes as soon as beta's cycle
+// ends, far inside the 10 s window: when beta commits, both logs sync in
+// that one round; when beta's cycle appends nothing (a revoke of an
+// unknown ID) and leaves, alpha's log syncs alone.
+func TestGroupCommitWaitsForBusyLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		held    func(*Tenant) error
+		wantErr bool
+		commits int64
+	}{
+		{"commit", func(tn *Tenant) error {
+			_, err := tn.Submit(context.Background(), submitReqN("b1", 0.52))
+			return err
+		}, false, 2},
+		{"leave", func(tn *Tenant) error {
+			_, err := tn.Revoke(context.Background(), "ghost")
+			return err
+		}, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			beta, gate, entered := gatedTenantConfig(1, 1)
+			s, err := New(Config{
+				Tenants:              map[string]TenantConfig{"alpha": fixedTenant(6, 0.7), "beta": beta},
+				DataDir:              t.TempDir(),
+				WALGroupCommitWindow: 10 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// Released before Close on every path, or Close would wait
+			// for beta's held loop forever.
+			release := sync.OnceFunc(func() { close(gate) })
+			defer release()
+			ta, _ := s.Tenant("alpha")
+			tb, _ := s.Tenant("beta")
+			rounds, commits := s.gc.rounds.Load(), s.gc.commits.Load()
+
+			betaDone := make(chan error, 1)
+			go func() { betaDone <- tc.held(tb) }()
+			entered.Wait()
+			alphaDone := timedSubmit(ta, "a1")
+			for s.gc.heldRounds.Load() == 0 {
+				runtime.Gosched()
+			}
+			select {
+			case r := <-alphaDone:
+				t.Fatalf("alpha returned (%v) while beta, a loop that could still join its round, was held", r.err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			released := time.Now()
+			release()
+			if err := <-betaDone; (err != nil) != tc.wantErr {
+				t.Fatalf("beta's held op: %v, want error %v", err, tc.wantErr)
+			}
+			if r := <-alphaDone; r.err != nil {
+				t.Fatalf("alpha submit: %v", r.err)
+			}
+			if d := time.Since(released); d > 2*time.Second {
+				t.Fatalf("alpha's round closed %v after beta's cycle ended", d)
+			}
+			if dr, dc, mr := s.gc.rounds.Load()-rounds, s.gc.commits.Load()-commits, s.gc.maxRound.Load(); dr != 1 || dc != tc.commits || mr != tc.commits {
+				t.Fatalf("rounds +%d, commits +%d, max_round %d; want +1, +%d, %d", dr, dc, mr, tc.commits, tc.commits)
+			}
+			if held, exp, busy := s.gc.heldRounds.Load(), s.gc.windowExpiries.Load(), s.gc.busy.Load(); held != 1 || exp != 0 || busy != 0 {
+				t.Fatalf("heldRounds=%d windowExpiries=%d busy=%d, want 1, 0, 0", held, exp, busy)
+			}
+		})
+	}
+}
+
+// TestGroupCommitWindowCapsBusyWait: the window still caps the wait for
+// a busy loop. With beta held far past a 50 ms window, alpha's round
+// closes when the window expires, while beta is still held.
+func TestGroupCommitWindowCapsBusyWait(t *testing.T) {
+	const window = 50 * time.Millisecond
+	beta, gate, entered := gatedTenantConfig(1, 1)
+	s, err := New(Config{
+		Tenants:              map[string]TenantConfig{"alpha": fixedTenant(6, 0.7), "beta": beta},
+		DataDir:              t.TempDir(),
+		WALGroupCommitWindow: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	ta, _ := s.Tenant("alpha")
+	tb, _ := s.Tenant("beta")
+
+	betaDone := timedSubmit(tb, "b1")
+	entered.Wait()
+	select {
+	case r := <-timedSubmit(ta, "a1"):
+		if r.err != nil {
+			t.Fatalf("alpha submit: %v", r.err)
+		}
+		if r.elapsed < window {
+			t.Fatalf("alpha returned after %v, before the %v window closed its held round", r.elapsed, window)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("alpha still waiting 5 s into beta's hold: the window did not cap the round")
+	}
+	if exp := s.gc.windowExpiries.Load(); exp != 1 {
+		t.Fatalf("windowExpiries = %d, want 1", exp)
+	}
+	release()
+	if r := <-betaDone; r.err != nil {
+		t.Fatalf("beta submit: %v", r.err)
+	}
+	if held, exp, busy := s.gc.heldRounds.Load(), s.gc.windowExpiries.Load(), s.gc.busy.Load(); held != 1 || exp != 1 || busy != 0 {
+		t.Fatalf("heldRounds=%d windowExpiries=%d busy=%d, want 1, 1, 0", held, exp, busy)
+	}
+}
+
+// BenchmarkGroupCommit drives real WAL logs (real fsync, under
+// b.TempDir) through the commit scheduler the way tenant loops do: each
+// of the tenants' loops runs b.N cycles of enter, append records,
+// commit. direct is the same loop calling Log.Sync itself, with no
+// scheduler. Reported: ops/s (records made durable per second), the
+// commit wait's p50/p99 in µs, fsyncs per op and, through the
+// scheduler, logs per round.
+func BenchmarkGroupCommit(b *testing.B) {
+	modes := []struct {
+		name   string
+		window time.Duration
+		direct bool
+	}{
+		{"window=0", 0, false},
+		{"window=500us", 500 * time.Microsecond, false},
+		{"direct", 0, true},
+	}
+	for _, tenants := range []int{1, 2, 8, 32} {
+		for _, m := range modes {
+			for _, records := range []int{1, 32} {
+				b.Run(fmt.Sprintf("tenants=%d/%s/records=%d", tenants, m.name, records), func(b *testing.B) {
+					benchGroupCommit(b, tenants, records, m.window, m.direct)
+				})
+			}
+		}
+	}
+}
+
+func benchGroupCommit(b *testing.B, tenants, records int, window time.Duration, direct bool) {
+	dir := b.TempDir()
+	logs := make([]*wal.Log, tenants)
+	for i := range logs {
+		l, _, err := wal.Open(filepath.Join(dir, fmt.Sprint(i)), wal.Options{SyncManual: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		logs[i] = l
+	}
+	var gc *groupCommitter
+	if !direct {
+		gc = newGroupCommitter(window)
+		defer gc.stop()
+	}
+	var syncs0 uint64
+	for _, l := range logs {
+		syncs0 += l.Syncs()
+	}
+	waits := make([][]time.Duration, tenants)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for i, l := range logs {
+		waits[i] = make([]time.Duration, 0, b.N)
+		wg.Add(1)
+		go func(i int, l *wal.Log) {
+			defer wg.Done()
+			rec := wal.Record{Kind: wal.KindAvailability, W: 0.5}
+			for n := 0; n < b.N; n++ {
+				if gc != nil {
+					gc.enter()
+				}
+				for r := 0; r < records; r++ {
+					rec.Epoch++
+					if _, err := l.Append(rec); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				t0 := time.Now()
+				var err error
+				if gc != nil {
+					err = gc.commit(l)
+				} else {
+					err = l.Sync()
+				}
+				waits[i] = append(waits[i], time.Since(t0))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(i, l)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+
+	all := slices.Sorted(slices.Values(slices.Concat(waits...)))
+	if len(all) == 0 {
+		return
+	}
+	var syncs uint64
+	for _, l := range logs {
+		syncs += l.Syncs()
+	}
+	ops := float64(tenants * records * b.N)
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	b.ReportMetric(ops/elapsed.Seconds(), "ops/s")
+	b.ReportMetric(us(all[len(all)/2]), "wait_p50_us")
+	b.ReportMetric(us(all[len(all)*99/100]), "wait_p99_us")
+	b.ReportMetric(float64(syncs-syncs0)/ops, "fsyncs/op")
+	if gc != nil {
+		b.ReportMetric(float64(gc.commits.Load())/float64(max(gc.rounds.Load(), 1)), "logs/round")
 	}
 }

@@ -51,13 +51,14 @@ type Config struct {
 	// checkpoint. 0 means checkpoints happen only via POST
 	// /admin/checkpoint.
 	CheckpointEvery int
-	// WALGroupCommitWindow is how long the server-wide commit scheduler,
-	// which fsyncs every durable tenant's WAL, collects concurrently
-	// finishing batches before one shared fsync round makes them all
-	// durable. 0 commits each batch as soon as it is appended, sharing a
-	// round only with batches already waiting. At any window every
-	// mutation is fsynced before it is acknowledged — the window bounds
-	// added ack latency, not durability.
+	// WALGroupCommitWindow caps how long the server-wide commit
+	// scheduler, which fsyncs every durable tenant's WAL, holds a round
+	// open for tenant loops that are mid-cycle and may still ask to
+	// commit; a round never waits for an idle loop. 0 commits each batch
+	// as soon as it is appended, and no measured workload commits faster
+	// at a nonzero window: each log is its own file, so a shared round
+	// shares the wait, never an fsync. At any window every mutation is
+	// fsynced before it is acknowledged.
 	WALGroupCommitWindow time.Duration
 
 	// ADPaRWorkers caps concurrently running ADPaR alternative solves

@@ -507,6 +507,11 @@ func (t *Tenant) applyBatch(ops []op) {
 	// unlogged server pays one atomic load here, not per-op attribute
 	// construction.
 	dbg := t.log.Enabled(context.Background(), slog.LevelDebug)
+	if t.wal != nil {
+		// Until this cycle commits or leaves, an open commit round may
+		// wait for it (up to the window).
+		t.gc.enter()
+	}
 	t.mgr.Begin()
 	for _, o := range ops {
 		var res opResult
@@ -586,7 +591,7 @@ func (t *Tenant) applyBatch(ops []op) {
 		// The batch's appends are buffered, not yet durable. Hand the log
 		// to the commit scheduler and block until its fsync round completes
 		// — strictly before the view publish and the replies, so acked
-		// ⇒ logged ⇒ fsynced holds per op; only the fsync is shared.
+		// ⇒ logged ⇒ fsynced holds per op; only the wait is shared.
 		if walErr = t.gc.commit(t.wal); walErr != nil {
 			t.met.walErrors.Add(1)
 			t.readOnly.Store(true)
@@ -595,6 +600,8 @@ func (t *Tenant) applyBatch(ops []op) {
 				slog.Int("batch_ops", len(ops)),
 				slog.Uint64("durable_seq", t.wal.DurableSeq()))
 		}
+	} else if t.wal != nil {
+		t.gc.leave()
 	}
 	if walErr != nil {
 		// The failed append or commit round rolled the log back to its

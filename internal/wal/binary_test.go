@@ -117,15 +117,33 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	}
 }
 
+// v2Record is a submit record under the JSON field names v1/v2 builds
+// wrote.
+type v2Record struct {
+	V       int     `json:"v"`
+	Seq     uint64  `json:"seq"`
+	Kind    string  `json:"kind"`
+	ID      string  `json:"id,omitempty"`
+	Quality float64 `json:"quality,omitempty"`
+	Cost    float64 `json:"cost,omitempty"`
+	Latency float64 `json:"latency,omitempty"`
+	K       int     `json:"k,omitempty"`
+	Sub     uint64  `json:"sub,omitempty"`
+	Epoch   uint64  `json:"epoch"`
+}
+
 // v2Lines renders n submit records, seqs first.., as the JSON lines a
 // v2 build appended: a hex CRC32-C, a space, the JSON payload, a newline.
 func v2Lines(tb testing.TB, first uint64, n int) []byte {
 	tb.Helper()
 	var out []byte
 	for seq := first; seq < first+uint64(n); seq++ {
-		rec := submitRec(fmt.Sprintf("d%d", seq), seq-1, seq)
-		rec.V, rec.Seq = 2, seq
-		payload, err := json.Marshal(rec)
+		r := submitRec(fmt.Sprintf("d%d", seq), seq-1, seq)
+		payload, err := json.Marshal(v2Record{
+			V: 2, Seq: seq, Kind: r.Kind, ID: r.ID,
+			Quality: r.Quality, Cost: r.Cost, Latency: r.Latency, K: r.K,
+			Sub: r.Sub, Epoch: r.Epoch,
+		})
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -26,9 +26,9 @@ type Options struct {
 	// SyncManual makes Append only buffer: the owner decides when records
 	// become durable by calling Sync. The server opens every tenant log
 	// this way — its commit scheduler syncs once per coalesced batch
-	// (possibly shared across tenants), and the tenant loop acknowledges
-	// nothing before that Sync returns. Without it every Append fsyncs
-	// before it returns.
+	// (in a round other tenants' logs may join), and the tenant loop
+	// acknowledges nothing before that Sync returns. Without it every
+	// Append fsyncs before it returns.
 	SyncManual bool
 	// TestSyncHook, when non-nil, runs at the start of every fsync,
 	// before the buffered records are flushed to the file. Sleeping inside

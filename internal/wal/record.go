@@ -102,42 +102,44 @@ const (
 // change state, so replaying the log can never hit an expected error.
 type Record struct {
 	// V is the payload format version (FormatVersion).
-	V int `json:"v"`
+	V int
 	// Seq is the log-wide monotonic sequence number, assigned by Append.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Kind is KindSubmit, KindRevoke or KindAvailability.
-	Kind string `json:"kind"`
+	Kind string
 	// ID is the affected request (submit, revoke).
-	ID string `json:"id,omitempty"`
+	ID string
 	// Quality, Cost, Latency, K describe the submitted request.
-	Quality float64 `json:"quality,omitempty"`
-	Cost    float64 `json:"cost,omitempty"`
-	Latency float64 `json:"latency,omitempty"`
-	K       int     `json:"k,omitempty"`
+	Quality float64
+	Cost    float64
+	Latency float64
+	K       int
 	// Sub is the manager's submission sequence number assigned to a
 	// submit — the reqIdx of the workforce.ModelProvider contract —
 	// persisted so recovery re-admits the request under its original
 	// model row.
-	Sub uint64 `json:"sub,omitempty"`
+	Sub uint64
 	// W is the new expected workforce (availability).
-	W float64 `json:"w,omitempty"`
+	W float64
 	// Epoch is the pool-generation counter after the mutation was
 	// applied: one step per applied mutation, whether or not the serving
 	// set moved, which makes it independent of how mutations were
 	// coalesced into replan batches. Recovery replays the record and
 	// verifies it reaches exactly this epoch, checking that no logged
 	// mutation was lost, duplicated or reordered.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// Req is the admitted request's aggregated workforce requirement as
-	// computed at the original admission (submit records of feasible
-	// requests; Infeasible marks the rest, since JSON cannot carry +Inf).
-	// It fingerprints the catalog, the models, the aggregation mode and
-	// the submission sequence: recovery recomputes the requirement and
-	// demands bit-identity, so replaying a log against the wrong tenant
-	// universe fails loudly at the first submit instead of rebuilding a
-	// silently different plan.
-	Req        float64 `json:"req,omitempty"`
-	Infeasible bool    `json:"infeasible,omitempty"`
+	// computed at the original admission, on submits of feasible
+	// requests. It fingerprints the catalog, the models, the aggregation
+	// mode and the submission sequence: recovery recomputes the
+	// requirement and demands bit-identity, so replaying a log against
+	// the wrong tenant universe fails loudly at the first submit instead
+	// of rebuilding a silently different plan.
+	Req float64
+	// Infeasible marks a submit whose requirement was +Inf at admission.
+	// The binary frame carries it as a flag bit (flagInfeasible) and Req
+	// stays 0, the same shape a checkpoint entry has.
+	Infeasible bool
 }
 
 // Decode errors. ErrTorn marks frames that end mid-record (the one fault
