@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestServeErrors(t *testing.T) {
 	if err := runServe([]string{"-objective", "bogus"}); err == nil {
@@ -17,5 +20,10 @@ func TestServeErrors(t *testing.T) {
 	}
 	if err := runServe([]string{"-demo-tenants", "0"}); err == nil {
 		t.Error("zero tenants accepted")
+	}
+	// The unusable address makes an accepted value fail here with a
+	// listen error instead of serving forever.
+	if err := runServe([]string{"-checkpoint-every", "-1", "-addr", "127.0.0.1:-1"}); err == nil || !strings.Contains(err.Error(), "CheckpointEvery") {
+		t.Errorf("negative checkpoint interval: err = %v, want it refused by name", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -14,58 +15,88 @@ import (
 // submit/revoke/drift event — O(n log n) per event — the planner keeps the
 // items in density order (the strict total order of compareItems, keyed by
 // (density, workforce, index)) and repairs the greedy prefix-with-skips
-// packing and the best-single answer from the first affected position
-// only.
+// packing and the best-single answer from the first affected chunk only.
+//
+// The ordered pool is a list of chunks of at most chunkSize consecutive
+// items. Each chunk stores the greedy state just before its first item:
+// the objective and workforce packed so far and the best single feasible
+// item so far. An edit binary-searches the chunks by their last item,
+// then the items inside one chunk, and moves at most one chunk's items; a
+// full chunk splits in half, and an emptied chunk is dropped.
 //
 // The contract is exact equivalence: after any sequence of
 // Insert/Remove/Update/SetBudget events, Result() is bit-identical —
 // selection order, objective and workforce sums included — to a fresh
 // BatchStrat call over the same items and budget. That holds because the
-// repair resumes from the stored cumulative sums of the untouched prefix,
-// so every float is produced by the same additions in the same order a
-// fresh run would perform.
+// repair resumes from the stored state of the first stale chunk, so every
+// float is produced by the same additions in the same order a fresh run
+// would perform.
 //
 // Item indices must be unique across the live pool (they are the planner's
 // identity key); Insert rejects duplicates with ErrDuplicateIndex.
-// Repair work is deferred: mutations cost an ordered-pool edit (binary
-// search + contiguous move), and the O(n - first affected position) greedy
-// walk runs at most once per batch of mutations, when Changed, IsSelected,
-// Result or one of the aggregate accessors is next called. A Planner is
-// not safe for concurrent use.
+// Repair work is deferred: mutations cost a one-chunk edit, and the greedy
+// walk from the first stale chunk runs at most once per batch of
+// mutations, when Changed, IsSelected, Result or one of the aggregate
+// accessors is next called. A Planner is not safe for concurrent use.
 type Planner struct {
 	w float64
 
-	items   []Item       // live pool in compareItems order
-	byIndex map[int]Item // identity key -> the stored item
-
-	// Per-position greedy state, aligned with items. cumV/cumW are the
-	// objective and workforce accumulated by the greedy walk after
-	// deciding position q; bestV/bestIdx track the best single feasible
-	// item (strict-max, earliest wins) over positions [0, q].
-	taken   []bool
-	cumV    []float64
-	cumW    []float64
-	bestV   []float64
-	bestIdx []int
+	// chunks is the live pool in compareItems order. No chunk is empty,
+	// so there are never more chunks than items. byIndex maps the
+	// identity key to the stored item, strategies included, which the
+	// chunks leave out so they hold no pointers.
+	chunks  []*chunk
+	byIndex map[int]Item
 
 	// Current answer (valid when dirty < 0): the greedy selection as a
-	// membership set plus totals, and the best-single candidate.
-	greedySel        map[int]bool
-	greedyV, greedyW float64
-	singleV          float64
-	singleIdx        int // -1 when no feasible item
+	// membership set, and end, the greedy state after the last chunk —
+	// the greedy totals and the best-single candidate.
+	greedySel map[int]bool
+	end       greedyState
 
-	// dirty is the first position whose greedy decision may be stale
-	// (-1 when clean). flipped toggles per greedy-membership change since
-	// the last Changed call; lastSingleWins/lastSingleIdx freeze the
-	// winning branch as of that call, so Changed can report the exact
-	// final-selection delta even across greedy/best-single flips.
+	// dirty is the first chunk whose greedy decisions may be stale (-1
+	// when clean); it may equal len(chunks) when the last chunk emptied,
+	// and then end holds the state to resume from. flipped toggles per
+	// greedy-membership change since the last Changed call;
+	// lastSingleWins/lastSingleIdx freeze the winning branch as of that
+	// call, so Changed can report the exact final-selection delta even
+	// across greedy/best-single flips.
 	dirty          int
 	flipped        map[int]bool
 	lastSingleWins bool
 	lastSingleIdx  int
 
 	changed []int // reusable Changed() result buffer
+}
+
+// chunkSize caps the items in one chunk: an edit moves at most this many
+// entries.
+const chunkSize = 128
+
+// chunk is a run of consecutive items in the density order, with the
+// greedy state just before its first item.
+type chunk struct {
+	before greedyState
+	n      int
+	e      [chunkSize]entry
+}
+
+// entry is one live item as the greedy walk reads it, plus its decision.
+type entry struct {
+	index            int
+	value, workforce float64
+	taken            bool
+}
+
+// item returns the fields compareItems reads, as an Item.
+func (e *entry) item() Item { return Item{Index: e.index, Value: e.value, Workforce: e.workforce} }
+
+// greedyState is the greedy walk's state between two positions: cv/cw are
+// the objective and workforce packed so far, bv/bi the best single
+// feasible item so far (strict-max, earliest wins; bi -1 when none).
+type greedyState struct {
+	cv, cw, bv float64
+	bi         int
 }
 
 // ErrDuplicateIndex rejects inserting an item whose index is already live
@@ -78,7 +109,7 @@ func NewPlanner(w float64) *Planner {
 		w:             w,
 		byIndex:       map[int]Item{},
 		greedySel:     map[int]bool{},
-		singleIdx:     -1,
+		end:           greedyState{bi: -1},
 		dirty:         -1,
 		flipped:       map[int]bool{},
 		lastSingleIdx: -1,
@@ -86,52 +117,60 @@ func NewPlanner(w float64) *Planner {
 }
 
 // Len returns the number of live items.
-func (p *Planner) Len() int { return len(p.items) }
+func (p *Planner) Len() int { return len(p.byIndex) }
 
 // Budget returns the current workforce budget W.
 func (p *Planner) Budget() float64 { return p.w }
 
-// markDirty records that greedy decisions from position pos on may be
-// stale.
-func (p *Planner) markDirty(pos int) {
-	if p.dirty < 0 || pos < p.dirty {
-		p.dirty = pos
+// markDirty records that greedy decisions from chunk ci on may be stale.
+func (p *Planner) markDirty(ci int) {
+	if p.dirty < 0 || ci < p.dirty {
+		p.dirty = ci
 	}
 }
 
-// insertAt finds the ordered position of it (its lower bound under
-// compareItems).
+// find returns the chunk that holds, or would hold, it — the first chunk
+// whose last item does not sort before it, else the last chunk — and the
+// lower bound of it inside that chunk. There must be at least one chunk.
 //
 //lint:allocfree
-func (p *Planner) insertAt(it Item) int {
-	return sort.Search(len(p.items), func(i int) bool { return compareItems(it, p.items[i]) < 0 })
-}
-
-// position locates a stored item exactly; the strict total order over
-// unique indices makes the lower bound land on it.
-func (p *Planner) position(it Item) int {
-	pos := sort.Search(len(p.items), func(i int) bool { return compareItems(it, p.items[i]) <= 0 })
-	if pos >= len(p.items) || p.items[pos].Index != it.Index {
-		panic(fmt.Sprintf("batch: planner order index lost item %d", it.Index))
-	}
-	return pos
+func (p *Planner) find(it Item) (ci, pos int) {
+	ci = sort.Search(len(p.chunks)-1, func(i int) bool {
+		c := p.chunks[i]
+		return compareItems(it, c.e[c.n-1].item()) <= 0
+	})
+	c := p.chunks[ci]
+	pos = sort.Search(c.n, func(i int) bool { return compareItems(it, c.e[i].item()) <= 0 })
+	return ci, pos
 }
 
 // Insert adds an item to the pool. The repair is deferred; the cost paid
-// here is the ordered-pool edit alone.
+// here is the one-chunk edit alone.
 func (p *Planner) Insert(it Item) error {
 	if _, dup := p.byIndex[it.Index]; dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateIndex, it.Index)
 	}
-	pos := p.insertAt(it)
-	p.items = insertSlice(p.items, pos, it)
-	p.taken = insertSlice(p.taken, pos, false)
-	p.cumV = insertSlice(p.cumV, pos, 0)
-	p.cumW = insertSlice(p.cumW, pos, 0)
-	p.bestV = insertSlice(p.bestV, pos, 0)
-	p.bestIdx = insertSlice(p.bestIdx, pos, -1)
 	p.byIndex[it.Index] = it
-	p.markDirty(pos)
+	if len(p.chunks) == 0 {
+		p.chunks = append(p.chunks, &chunk{before: greedyState{bi: -1}})
+	}
+	ci, pos := p.find(it)
+	p.markDirty(ci)
+	c := p.chunks[ci]
+	if c.n == chunkSize {
+		// Split in half. The new chunk's state is stale, but it lies
+		// after ci, which is dirty already.
+		next := &chunk{n: chunkSize / 2}
+		copy(next.e[:], c.e[chunkSize/2:])
+		c.n = chunkSize / 2
+		p.chunks = slices.Insert(p.chunks, ci+1, next)
+		if pos > c.n {
+			c, pos = next, pos-c.n
+		}
+	}
+	copy(c.e[pos+1:c.n+1], c.e[pos:c.n])
+	c.e[pos] = entry{index: it.Index, value: it.Value, workforce: it.Workforce}
+	c.n++
 	return nil
 }
 
@@ -144,27 +183,39 @@ func (p *Planner) Remove(index int) bool {
 	if !ok {
 		return false
 	}
-	pos := p.position(it)
 	delete(p.byIndex, index)
-	if p.taken[pos] {
+	// The strict total order over unique indices makes the lower bound
+	// land on the stored item.
+	ci, pos := p.find(it)
+	c := p.chunks[ci]
+	if pos >= c.n || c.e[pos].index != index {
+		panic(fmt.Sprintf("batch: planner order lost item %d", index)) //lint:allow allocbound -- only a planner bug reaches this panic
+	}
+	if c.e[pos].taken {
 		// The item leaves the greedy selection by leaving the pool; the
 		// toggle keeps Changed's before/after reconstruction exact.
 		p.toggle(index)
 		delete(p.greedySel, index)
 	}
-	p.items = deleteSlice(p.items, pos)
-	p.taken = deleteSlice(p.taken, pos)
-	p.cumV = deleteSlice(p.cumV, pos)
-	p.cumW = deleteSlice(p.cumW, pos)
-	p.bestV = deleteSlice(p.bestV, pos)
-	p.bestIdx = deleteSlice(p.bestIdx, pos)
-	p.markDirty(pos)
+	copy(c.e[pos:c.n], c.e[pos+1:c.n])
+	c.n--
+	p.markDirty(ci)
+	if c.n == 0 {
+		// The state before an empty chunk is the state before its
+		// successor, or the final state when it was the last chunk.
+		if ci+1 < len(p.chunks) {
+			p.chunks[ci+1].before = c.before
+		} else {
+			p.end = c.before
+		}
+		p.chunks = slices.Delete(p.chunks, ci, ci+1)
+	}
 	return true
 }
 
 // Update reweights a live item (same index, new value/workforce/
 // strategies): a remove + insert that dirties from the earlier of the two
-// affected positions.
+// affected chunks.
 func (p *Planner) Update(it Item) error {
 	if !p.Remove(it.Index) {
 		return fmt.Errorf("batch: update of unknown item index %d", it.Index)
@@ -180,7 +231,7 @@ func (p *Planner) SetBudget(w float64) {
 		return
 	}
 	p.w = w
-	if len(p.items) > 0 {
+	if len(p.chunks) > 0 {
 		p.markDirty(0)
 	}
 }
@@ -195,68 +246,62 @@ func (p *Planner) toggle(index int) {
 }
 
 // repair re-walks the greedy packing and best-single scan from the first
-// stale position, resuming from the stored cumulative state of the
-// untouched prefix — the incremental core. Positions before dirty keep
-// decisions and sums bit-identical to a fresh run by induction; positions
-// from dirty on are recomputed exactly as a fresh run would.
+// stale chunk, resuming from that chunk's stored state — the incremental
+// core. Chunks before dirty keep decisions and states bit-identical to a
+// fresh run by induction; from dirty on, every decision and every later
+// chunk's state is recomputed exactly as a fresh run would.
 //
 //lint:allocfree
 func (p *Planner) repair() {
 	if p.dirty < 0 {
 		return
 	}
-	start := p.dirty
-	p.dirty = -1
-	var cv, cw float64
-	bv, bi := 0.0, -1
-	if start > 0 {
-		cv, cw = p.cumV[start-1], p.cumW[start-1]
-		bv, bi = p.bestV[start-1], p.bestIdx[start-1]
+	s := p.end
+	if p.dirty < len(p.chunks) {
+		s = p.chunks[p.dirty].before
 	}
-	for q := range p.items[start:] {
-		q += start
-		it := p.items[q]
-		// Same arithmetic as greedyPack: skip when the item no longer
-		// fits. An item with Workforce > W (or +Inf) can never fit, so
-		// the single comparison is also the feasibility filter.
-		take := !(cw+it.Workforce > p.w)
-		if take {
-			cv += it.Value
-			cw += it.Workforce
-		}
-		if take != p.taken[q] {
-			p.taken[q] = take
+	for _, c := range p.chunks[p.dirty:] {
+		c.before = s
+		for q := range c.e[:c.n] {
+			e := &c.e[q]
+			// Same arithmetic as greedyPack: skip when the item no longer
+			// fits. An item with Workforce > W (or +Inf) can never fit, so
+			// the single comparison is also the feasibility filter.
+			take := !(s.cw+e.workforce > p.w)
 			if take {
-				p.greedySel[it.Index] = true
-			} else {
-				delete(p.greedySel, it.Index)
+				s.cv += e.value
+				s.cw += e.workforce
 			}
-			p.toggle(it.Index)
+			if take != e.taken {
+				e.taken = take
+				if take {
+					p.greedySel[e.index] = true
+				} else {
+					delete(p.greedySel, e.index)
+				}
+				p.toggle(e.index)
+			}
+			// Best single feasible item, strict-max so the earliest
+			// (densest) of tied values wins — exactly BatchStrat's scan.
+			if e.workforce <= p.w && !math.IsInf(e.workforce, 1) && e.value > s.bv {
+				s.bv, s.bi = e.value, e.index
+			}
 		}
-		p.cumV[q] = cv
-		p.cumW[q] = cw
-		// Best single feasible item, strict-max so the earliest (densest)
-		// of tied values wins — exactly BatchStrat's scan.
-		if it.Workforce <= p.w && !math.IsInf(it.Workforce, 1) && it.Value > bv {
-			bv, bi = it.Value, it.Index
-		}
-		p.bestV[q] = bv
-		p.bestIdx[q] = bi
 	}
-	p.greedyV, p.greedyW = cv, cw
-	p.singleV, p.singleIdx = bv, bi
+	p.end = s
+	p.dirty = -1
 }
 
 // singleWins mirrors BatchStrat's final comparison: the best single item
 // beats the greedy packing only strictly.
-func (p *Planner) singleWins() bool { return p.singleV > p.greedyV }
+func (p *Planner) singleWins() bool { return p.end.bv > p.end.cv }
 
 // IsSelected reports whether the item with the given index is in the
 // current plan (the same answer Result().IsSelected would give).
 func (p *Planner) IsSelected(index int) bool {
 	p.repair()
 	if p.singleWins() {
-		return index == p.singleIdx
+		return index == p.end.bi
 	}
 	return p.greedySel[index]
 }
@@ -271,7 +316,7 @@ func (p *Planner) Changed() []int {
 	p.repair()
 	p.changed = p.changed[:0]
 	preWins, preIdx := p.lastSingleWins, p.lastSingleIdx
-	postWins, postIdx := p.singleWins(), p.singleIdx
+	postWins, postIdx := p.singleWins(), p.end.bi
 	if !preWins && !postWins {
 		// Both plans are the greedy packing: the delta is exactly the
 		// toggled memberships.
@@ -330,18 +375,18 @@ func (p *Planner) Changed() []int {
 func (p *Planner) Objective() float64 {
 	p.repair()
 	if p.singleWins() {
-		return p.singleV
+		return p.end.bv
 	}
-	return p.greedyV
+	return p.end.cv
 }
 
 // Workforce returns the current plan's total workforce consumption.
 func (p *Planner) Workforce() float64 {
 	p.repair()
 	if p.singleWins() {
-		return p.byIndex[p.singleIdx].Workforce
+		return p.byIndex[p.end.bi].Workforce
 	}
-	return p.greedyW
+	return p.end.cw
 }
 
 // Result materializes the current plan as a solver Result, bit-identical
@@ -352,28 +397,15 @@ func (p *Planner) Workforce() float64 {
 func (p *Planner) Result() Result {
 	p.repair()
 	if p.singleWins() {
-		return singleItemResult(p.byIndex[p.singleIdx])
+		return singleItemResult(p.byIndex[p.end.bi])
 	}
 	res := Result{Recommendations: map[int][]int{}}
-	for q, it := range p.items {
-		if p.taken[q] {
-			addItem(&res, it)
+	for _, c := range p.chunks {
+		for _, e := range c.e[:c.n] {
+			if e.taken {
+				addItem(&res, p.byIndex[e.index])
+			}
 		}
 	}
 	return res
-}
-
-// insertSlice and deleteSlice are the ordered-pool edits: a binary search
-// has already fixed the position, so each is one contiguous move.
-func insertSlice[T any](s []T, pos int, v T) []T {
-	var zero T
-	s = append(s, zero)
-	copy(s[pos+1:], s[pos:])
-	s[pos] = v
-	return s
-}
-
-func deleteSlice[T any](s []T, pos int) []T {
-	copy(s[pos:], s[pos+1:])
-	return s[:len(s)-1]
 }

@@ -68,6 +68,16 @@ const (
 // profileStep picks the next event kind for the named churn profile.
 func profileStep(profile string, rng *rand.Rand, step, liveCount int) plannerEvent {
 	switch profile {
+	case "chunk-storm":
+		// Grow the pool in bursts, then drain it; the test picks which
+		// items the storm revokes.
+		if step < chunkStormGrowth {
+			return evInsert
+		}
+		if rng.Float64() < 0.02 {
+			return evDrift
+		}
+		return evRemove
 	case "revoke-storm":
 		// Build a pool, then drain it with occasional refills and drifts.
 		if step < 200 || (liveCount < 20 && rng.Float64() < 0.6) {
@@ -123,21 +133,37 @@ func randomItem(rng *rand.Rand, idx int, payoff bool) Item {
 	return Item{Index: idx, Value: v, Workforce: wf, Strategies: []int{idx % 7, idx % 3}}
 }
 
+// chunkStormGrowth is the number of insert bursts (1-32 items each) the
+// chunk-storm profile grows its pool with: over 2,600 items, more than 20
+// chunks even if every chunk were full.
+const chunkStormGrowth = 165
+
 // TestPlannerMatchesBatchStratRandom is the randomized equivalence
 // property: across steady / revoke-storm / bursty churn profiles and both
 // objective shapes (unit values = throughput, varied values = payoff),
 // the incremental planner's answer is bit-identical to a fresh BatchStrat
 // run after EVERY event, and the Changed() delta stream reconstructs the
-// same selection.
+// same selection. The chunk-storm profile grows a pool of over 20 chunks
+// under a budget that packs across several of them, then revokes a run
+// of the density order from the middle (emptying at least one whole
+// chunk there), then its last chunkSize items (the last chunk), then
+// everything else in random order. Its events are bursts of 1-32 ops of
+// one kind, so a pool that large stays cheap to check after every event.
 func TestPlannerMatchesBatchStratRandom(t *testing.T) {
-	for _, profile := range []string{"steady", "revoke-storm", "bursty"} {
+	for _, profile := range []string{"steady", "revoke-storm", "bursty", "chunk-storm"} {
 		for _, objective := range []string{"throughput", "payoff"} {
 			t.Run(profile+"/"+objective, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(len(profile)*100 + len(objective))))
-				p := NewPlanner(0.7)
+				steps, scale := 600, 1.0
+				if profile == "chunk-storm" {
+					steps, scale = 4*chunkStormGrowth, 100
+				}
+				p := NewPlanner(0.7 * scale)
 				live := map[int]Item{}
 				serving := map[int]bool{} // maintained via Changed() deltas
 				nextIdx := 0
+				var storm []int // chunk-storm: the revokes still to come
+				chunksAt := 0   // chunk count when the current storm run began
 
 				syncServing := func() {
 					for _, idx := range p.Changed() {
@@ -149,28 +175,69 @@ func TestPlannerMatchesBatchStratRandom(t *testing.T) {
 					}
 				}
 
-				for step := 0; step < 600; step++ {
+				for step := 0; step < steps; step++ {
 					ev := profileStep(profile, rng, step, len(live))
+					burst := 1
+					if profile == "chunk-storm" {
+						burst = 1 + rng.Intn(32)
+					}
+					if profile == "chunk-storm" && step == chunkStormGrowth {
+						if len(live) <= 20*chunkSize {
+							t.Fatalf("the pool grew to %d items, want over %d", len(live), 20*chunkSize)
+						}
+						order := densityOrder(live)
+						mid := len(order) / 2
+						// 2*chunkSize consecutive items hold a whole chunk.
+						for _, it := range order[mid : mid+2*chunkSize] {
+							storm = append(storm, it.Index)
+						}
+						for _, it := range order[len(order)-chunkSize:] {
+							storm = append(storm, it.Index)
+						}
+						chunksAt = len(p.chunks)
+					}
 					var desc string
 					switch ev {
 					case evInsert:
-						it := randomItem(rng, nextIdx, objective == "payoff")
-						nextIdx++
-						if err := p.Insert(it); err != nil {
-							t.Fatal(err)
+						for range burst {
+							it := randomItem(rng, nextIdx, objective == "payoff")
+							nextIdx++
+							if err := p.Insert(it); err != nil {
+								t.Fatal(err)
+							}
+							live[it.Index] = it
+							desc = fmt.Sprintf("step %d insert %d", step, it.Index)
 						}
-						live[it.Index] = it
-						desc = fmt.Sprintf("step %d insert %d", step, it.Index)
 					case evRemove:
 						if len(live) == 0 {
 							continue
 						}
-						idx := randomLiveIndex(rng, live)
-						if !p.Remove(idx) {
-							t.Fatalf("step %d: Remove(%d) reported missing", step, idx)
+						for range burst {
+							if len(live) == 0 {
+								break
+							}
+							idx := randomLiveIndex(rng, live)
+							if len(storm) > 0 {
+								idx, storm = storm[0], storm[1:]
+							}
+							if !p.Remove(idx) {
+								t.Fatalf("step %d: Remove(%d) reported missing", step, idx)
+							}
+							delete(live, idx)
+							desc = fmt.Sprintf("step %d remove %d", step, idx)
+							if chunksAt > 0 && (len(storm) == chunkSize || len(storm) == 0) {
+								// The middle run, then the tail, each
+								// emptied at least one whole chunk.
+								if len(p.chunks) >= chunksAt {
+									t.Fatalf("%s: %d chunks after a storm run, %d before it", desc, len(p.chunks), chunksAt)
+								}
+								chunksAt = len(p.chunks)
+								if len(storm) == 0 {
+									chunksAt = 0
+								}
+								break
+							}
 						}
-						delete(live, idx)
-						desc = fmt.Sprintf("step %d remove %d", step, idx)
 					case evUpdate:
 						idx := randomLiveIndex(rng, live)
 						it := randomItem(rng, idx, objective == "payoff")
@@ -180,7 +247,7 @@ func TestPlannerMatchesBatchStratRandom(t *testing.T) {
 						live[idx] = it
 						desc = fmt.Sprintf("step %d update %d", step, idx)
 					case evDrift:
-						w := float64(rng.Intn(101)) / 100
+						w := scale * float64(rng.Intn(101)) / 100
 						p.SetBudget(w)
 						desc = fmt.Sprintf("step %d drift %v", step, w)
 					}
@@ -193,9 +260,23 @@ func TestPlannerMatchesBatchStratRandom(t *testing.T) {
 						}
 					}
 				}
+				if profile == "chunk-storm" && (len(live) != 0 || len(p.chunks) != 0) {
+					t.Fatalf("the storm left %d items in %d chunks", len(live), len(p.chunks))
+				}
 			})
 		}
 	}
+}
+
+// densityOrder returns the live items in the order a fresh BatchStrat
+// walks them.
+func densityOrder(live map[int]Item) []Item {
+	items := make([]Item, 0, len(live))
+	for _, it := range live {
+		items = append(items, it)
+	}
+	slices.SortFunc(items, compareItems)
+	return items
 }
 
 func randomLiveIndex(rng *rand.Rand, live map[int]Item) int {
@@ -214,16 +295,80 @@ func randomLiveIndex(rng *rand.Rand, live map[int]Item) int {
 // still lands on the fresh answer, with Changed reporting the net delta
 // exactly once.
 func TestPlannerDeferredBatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	p := NewPlanner(0.6)
-	live := map[int]Item{}
-	for i := 0; i < 300; i++ {
-		it := randomItem(rng, i, true)
-		if err := p.Insert(it); err != nil {
-			t.Fatal(err)
+	t.Run("mixed", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(99))
+		p := NewPlanner(0.6)
+		live := map[int]Item{}
+		for i := 0; i < 300; i++ {
+			it := randomItem(rng, i, true)
+			if err := p.Insert(it); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = it
 		}
-		live[i] = it
-	}
+		checkDeferredBatch(t, p, live, func() {
+			// One "batch": 60 mixed mutations, no reads in between.
+			for i := 0; i < 60; i++ {
+				switch {
+				case i%3 == 0:
+					idx := randomLiveIndex(rng, live)
+					p.Remove(idx)
+					delete(live, idx)
+				default:
+					it := randomItem(rng, 1000+i, true)
+					if err := p.Insert(it); err != nil {
+						t.Fatal(err)
+					}
+					live[it.Index] = it
+				}
+			}
+			p.SetBudget(0.45)
+		})
+	})
+	t.Run("chunks", func(t *testing.T) {
+		// Workforces rise with the index, so the density order is index
+		// order, and inserting in that order leaves chunks of
+		// chunkSize/2: item i sits in chunk i/64. W=60 packs items 0-344.
+		p := NewPlanner(60)
+		live := map[int]Item{}
+		for i := 0; i < 1000; i++ {
+			it := Item{Index: i, Value: 1, Workforce: float64(i+1) / 1000, Strategies: []int{i % 5}}
+			if err := p.Insert(it); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = it
+		}
+		chunks := len(p.chunks)
+		checkDeferredBatch(t, p, live, func() {
+			// 130 items between items 400 and 401 land in one chunk and
+			// split it.
+			for j := 1; j <= 130; j++ {
+				it := Item{Index: 1000 + j, Value: 1, Workforce: 0.401 + float64(j)*1e-6}
+				if err := p.Insert(it); err != nil {
+					t.Fatal(err)
+				}
+				live[it.Index] = it
+			}
+			// Items 600-855 hold chunks 10-12 whole.
+			for i := 600; i < 856; i++ {
+				p.Remove(i)
+				delete(live, i)
+			}
+			// The packing now ends inside the inserted run's chunks.
+			p.SetBudget(150)
+		})
+		if want := chunks - 3 + 2; len(p.chunks) != want {
+			t.Fatalf("%d chunks after the batch, want %d (3 emptied, 2 split off)", len(p.chunks), want)
+		}
+		checkChunks(t, p)
+	})
+}
+
+// checkDeferredBatch consumes the planner's pending delta, applies batch
+// with no reads in between, and checks that one Changed sweep reports
+// exactly the net selection change and lands on the fresh answer.
+func checkDeferredBatch(t *testing.T, p *Planner, live map[int]Item, batch func()) {
+	t.Helper()
 	// Consume the initial delta so the batch below starts clean.
 	p.Changed()
 	before := map[int]bool{}
@@ -231,22 +376,7 @@ func TestPlannerDeferredBatchEquivalence(t *testing.T) {
 		before[idx] = p.IsSelected(idx)
 	}
 
-	// One "batch": 60 mixed mutations, no reads in between.
-	for i := 0; i < 60; i++ {
-		switch {
-		case i%3 == 0:
-			idx := randomLiveIndex(rng, live)
-			p.Remove(idx)
-			delete(live, idx)
-		default:
-			it := randomItem(rng, 1000+i, true)
-			if err := p.Insert(it); err != nil {
-				t.Fatal(err)
-			}
-			live[it.Index] = it
-		}
-	}
-	p.SetBudget(0.45)
+	batch()
 
 	changed := map[int]bool{}
 	for _, idx := range p.Changed() {
@@ -351,4 +481,142 @@ func TestPlannerEdgeCases(t *testing.T) {
 		1: {Index: 1, Value: 1, Workforce: 0.2},
 		2: {Index: 2, Value: 1, Workforce: 0},
 	}, "zero budget")
+
+	// A sorted run into one full chunk splits it before, at and after its
+	// midpoint, and at both ends. Item i of the full chunk has workforce
+	// (i+1)/1024, so W=2 packs items 0-62: the packing ends at the split.
+	for _, at := range []int{0, 10, chunkSize/2 - 1, chunkSize / 2, chunkSize/2 + 1, 100, chunkSize} {
+		p := NewPlanner(2)
+		live := map[int]Item{}
+		insert := func(it Item) {
+			if err := p.Insert(it); err != nil {
+				t.Fatal(err)
+			}
+			live[it.Index] = it
+		}
+		for i := 0; i < chunkSize; i++ {
+			insert(Item{Index: i, Value: 1, Workforce: float64(i+1) / 1024})
+		}
+		// The run sorts between items at-1 and at, in ascending order.
+		for j := 1; j <= chunkSize/2+10; j++ {
+			insert(Item{Index: 1000 + j, Value: 1, Workforce: (float64(at) + float64(j)/128) / 1024})
+			comparePlannerToFresh(t, p, live, fmt.Sprintf("run at %d, insert %d", at, j))
+			checkChunks(t, p)
+		}
+		if len(p.chunks) != 3 {
+			t.Fatalf("run at %d: %d chunks, want 3 (two splits)", at, len(p.chunks))
+		}
+	}
+}
+
+// checkChunks asserts the planner's chunk invariants: no chunk is empty
+// or over chunkSize, the entries run in strict compareItems order across
+// chunk boundaries, and they are exactly the live items.
+func checkChunks(t *testing.T, p *Planner) {
+	t.Helper()
+	n := 0
+	var prev *entry
+	for ci, c := range p.chunks {
+		if c.n < 1 || c.n > chunkSize {
+			t.Fatalf("chunk %d holds %d entries", ci, c.n)
+		}
+		for q := range c.e[:c.n] {
+			e := &c.e[q]
+			if it, ok := p.byIndex[e.index]; !ok || it.Value != e.value || it.Workforce != e.workforce {
+				t.Fatalf("chunk %d entry %d (%+v) is not the live item %+v", ci, q, *e, it)
+			}
+			if prev != nil && compareItems(prev.item(), e.item()) >= 0 {
+				t.Fatalf("chunk %d entry %d (%+v) does not sort after %+v", ci, q, *e, *prev)
+			}
+			prev = e
+			n++
+		}
+	}
+	if n != len(p.byIndex) {
+		t.Fatalf("chunks hold %d entries, %d items live", n, len(p.byIndex))
+	}
+}
+
+// FuzzPlanner decodes the input into planner events and checks the
+// planner against a fresh BatchStrat after every one: Result() must be
+// bit-identical, the chunks must keep their invariants, and the Changed()
+// stream must rebuild the selection. The first byte picks the objective
+// shape and seeds the item generator; then each event is three bytes,
+// op, a and b:
+//
+//	op%4 == 0: insert a run of a+1 random items (up to 256), so a short
+//	           input spans several chunks;
+//	op%4 == 1: remove b+1 consecutive items of the density order,
+//	           starting a/256 of the way in, which can empty whole chunks;
+//	op%4 == 2: update the item a/256 of the way in with a random item;
+//	op%4 == 3: set the budget to (256a+b)/1024.
+func FuzzPlanner(f *testing.F) {
+	f.Add([]byte{1, 0, 199, 0, 3, 0, 40, 0, 255, 0, 1, 100, 150, 1, 250, 255, 3, 20, 0, 1, 0, 255, 1, 0, 255})
+	f.Add([]byte{2, 0, 255, 0, 0, 255, 0, 1, 128, 127, 2, 30, 0, 3, 1, 0, 1, 0, 200, 3, 0, 0})
+	f.Add([]byte{3, 0, 2, 0, 1, 0, 2, 3, 0, 128, 1, 0, 255, 0, 130, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		payoff := data[0]&1 == 1
+		rng := rand.New(rand.NewSource(int64(data[0])))
+		data = data[1:]
+		p := NewPlanner(1)
+		live := map[int]Item{}
+		serving := map[int]bool{}
+		next := 0
+		for ev := 0; ev < 16 && len(data) >= 3; ev++ {
+			op, a, b := data[0]%4, int(data[1]), int(data[2])
+			data = data[3:]
+			desc := fmt.Sprintf("event %d (op %d, %d, %d)", ev, op, a, b)
+			switch op {
+			case 0:
+				for range a + 1 {
+					it := randomItem(rng, next, payoff)
+					next++
+					if err := p.Insert(it); err != nil {
+						t.Fatal(err)
+					}
+					live[it.Index] = it
+				}
+			case 1, 2:
+				if len(live) == 0 {
+					continue
+				}
+				order := densityOrder(live)
+				start := a * len(order) / 256
+				if op == 2 {
+					it := randomItem(rng, order[start].Index, payoff)
+					if err := p.Update(it); err != nil {
+						t.Fatal(err)
+					}
+					live[it.Index] = it
+					break
+				}
+				for _, it := range order[start:min(start+b+1, len(order))] {
+					if !p.Remove(it.Index) {
+						t.Fatalf("%s: Remove(%d) reported missing", desc, it.Index)
+					}
+					delete(live, it.Index)
+				}
+			case 3:
+				p.SetBudget(float64(a*256+b) / 1024)
+			}
+			for _, idx := range p.Changed() {
+				if _, ok := live[idx]; !ok {
+					delete(serving, idx)
+					continue
+				}
+				serving[idx] = p.IsSelected(idx)
+			}
+			comparePlannerToFresh(t, p, live, desc)
+			checkChunks(t, p)
+			for idx := range live {
+				if serving[idx] != p.IsSelected(idx) {
+					t.Fatalf("%s: Changed() delta stream diverged at %d: have %v, planner %v",
+						desc, idx, serving[idx], p.IsSelected(idx))
+				}
+			}
+		}
+	})
 }

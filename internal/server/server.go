@@ -138,6 +138,19 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, errors.New("server: no tenants configured")
 	}
+	// Each of these reads 0 as its default, so a negative value would
+	// silently mean the default: a negative CheckpointEvery turns
+	// auto-checkpointing off and lets the WAL grow without bound.
+	switch {
+	case cfg.CheckpointEvery < 0:
+		return nil, fmt.Errorf("server: negative CheckpointEvery %d", cfg.CheckpointEvery)
+	case cfg.MutationDeadline < 0:
+		return nil, fmt.Errorf("server: negative MutationDeadline %v", cfg.MutationDeadline)
+	case cfg.ADPaRWorkers < 0:
+		return nil, fmt.Errorf("server: negative ADPaRWorkers %d", cfg.ADPaRWorkers)
+	case cfg.ADPaRQueue < 0:
+		return nil, fmt.Errorf("server: negative ADPaRQueue %d", cfg.ADPaRQueue)
+	}
 	now := cfg.Now
 	if now == nil {
 		now = defaultClock()

@@ -454,6 +454,23 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := (&Server{tenants: map[string]*Tenant{}}).Tenant("x"); !errors.Is(err, ErrUnknownTenant) {
 		t.Error("unknown tenant lookup did not fail")
 	}
+	// A negative setting used to act as its 0 default without a word.
+	for field, set := range map[string]func(*Config){
+		"CheckpointEvery":  func(c *Config) { c.CheckpointEvery = -10000 },
+		"MutationDeadline": func(c *Config) { c.MutationDeadline = -time.Millisecond },
+		"ADPaRWorkers":     func(c *Config) { c.ADPaRWorkers = -1 },
+		"ADPaRQueue":       func(c *Config) { c.ADPaRQueue = -1 },
+	} {
+		cfg := Config{Tenants: map[string]TenantConfig{"alpha": fixedTenant(3, 0.5)}}
+		set(&cfg)
+		s, err := New(cfg)
+		if err == nil {
+			s.Close()
+			t.Errorf("negative %s accepted", field)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: err = %v, want it to name the field", field, err)
+		}
+	}
 }
 
 // TestTenantModelCountMismatch: a tenant whose model slice does not match

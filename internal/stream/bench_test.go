@@ -11,10 +11,10 @@ import (
 )
 
 // BenchmarkRevokeStorm measures the revoke path under churn: a large open
-// pool drained in random order. Before the ID→position order index this
-// was a linear scan + slice splice per revoke (quadratic over the storm);
-// with tombstones + amortized compaction each revoke's pool bookkeeping is
-// O(1) amortized, leaving the replan itself as the dominant cost.
+// pool drained in random order, one replan per revoke. Each revoke removes
+// the request's leaf from the pool trie (O(log₃₂ n)) and its item from one
+// planner chunk, then repairs the plan from that chunk to the end of the
+// pool; that walk is the part of the cost that grows with the pool.
 func BenchmarkRevokeStorm(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		b.Run(fmt.Sprintf("pool=%d", n), func(b *testing.B) {
@@ -50,9 +50,10 @@ func BenchmarkRevokeStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkRevokeOnly isolates the pool bookkeeping from the replan: the
-// manager uses a one-strategy catalog so replanning is trivially cheap and
-// the order-index cost dominates.
+// BenchmarkRevokeOnly isolates the pool bookkeeping from the replan: with
+// a one-strategy catalog only about one request in eight is feasible and
+// enters the planner, so a revoke's cost is mostly removing its leaf from
+// the pool trie.
 func BenchmarkRevokeOnly(b *testing.B) {
 	const n = 5000
 	gen := synth.DefaultConfig(synth.Uniform)
