@@ -26,4 +26,7 @@ func TestServeErrors(t *testing.T) {
 	if err := runServe([]string{"-checkpoint-every", "-1", "-addr", "127.0.0.1:-1"}); err == nil || !strings.Contains(err.Error(), "CheckpointEvery") {
 		t.Errorf("negative checkpoint interval: err = %v, want it refused by name", err)
 	}
+	if err := runServe([]string{"-coalesce", "-1", "-addr", "127.0.0.1:-1"}); err == nil || !strings.Contains(err.Error(), "Coalesce") {
+		t.Errorf("negative coalesce: err = %v, want it refused by name", err)
+	}
 }

@@ -22,7 +22,8 @@ import (
 // the objective and workforce packed so far and the best single feasible
 // item so far. An edit binary-searches the chunks by their last item,
 // then the items inside one chunk, and moves at most one chunk's items; a
-// full chunk splits in half, and an emptied chunk is dropped.
+// full chunk splits in half, an emptied chunk is dropped, and a shrunk
+// chunk merges into a neighbour when the two fit in half a chunk.
 //
 // The contract is exact equivalence: after any sequence of
 // Insert/Remove/Update/SetBudget events, Result() is bit-identical —
@@ -200,7 +201,8 @@ func (p *Planner) Remove(index int) bool {
 	copy(c.e[pos:c.n], c.e[pos+1:c.n])
 	c.n--
 	p.markDirty(ci)
-	if c.n == 0 {
+	switch {
+	case c.n == 0:
 		// The state before an empty chunk is the state before its
 		// successor, or the final state when it was the last chunk.
 		if ci+1 < len(p.chunks) {
@@ -209,8 +211,27 @@ func (p *Planner) Remove(index int) bool {
 			p.end = c.before
 		}
 		p.chunks = slices.Delete(p.chunks, ci, ci+1)
+	case ci > 0 && p.chunks[ci-1].n+c.n <= chunkSize/2:
+		p.merge(ci - 1)
+	case ci+1 < len(p.chunks) && c.n+p.chunks[ci+1].n <= chunkSize/2:
+		p.merge(ci)
 	}
 	return true
+}
+
+// merge appends chunk ci+1's entries to chunk ci and drops ci+1. The
+// merged chunk keeps ci's before state and is repaired from its first
+// entry. Remove merges a shrunk chunk into a neighbour whenever the two
+// fit in half a chunk, so no two adjacent chunks ever do, and a pool of
+// n items spans at most 4n/chunkSize + 1 chunks however it churns.
+//
+//lint:allocfree
+func (p *Planner) merge(ci int) {
+	c, next := p.chunks[ci], p.chunks[ci+1]
+	copy(c.e[c.n:], next.e[:next.n])
+	c.n += next.n
+	p.markDirty(ci)
+	p.chunks = slices.Delete(p.chunks, ci+1, ci+2)
 }
 
 // Update reweights a live item (same index, new value/workforce/

@@ -349,7 +349,9 @@ func TestPlannerDeferredBatchEquivalence(t *testing.T) {
 				}
 				live[it.Index] = it
 			}
-			// Items 600-855 hold chunks 10-12 whole.
+			// Items 600-855 hold chunks 10-12 whole. The 24 items left
+			// in chunk 9 and the 40 left in chunk 13 fit in half a
+			// chunk, so those two merge.
 			for i := 600; i < 856; i++ {
 				p.Remove(i)
 				delete(live, i)
@@ -357,8 +359,8 @@ func TestPlannerDeferredBatchEquivalence(t *testing.T) {
 			// The packing now ends inside the inserted run's chunks.
 			p.SetBudget(150)
 		})
-		if want := chunks - 3 + 2; len(p.chunks) != want {
-			t.Fatalf("%d chunks after the batch, want %d (3 emptied, 2 split off)", len(p.chunks), want)
+		if want := chunks - 3 + 2 - 1; len(p.chunks) != want {
+			t.Fatalf("%d chunks after the batch, want %d (3 emptied, 2 split off, 1 merged)", len(p.chunks), want)
 		}
 		checkChunks(t, p)
 	})
@@ -509,9 +511,53 @@ func TestPlannerEdgeCases(t *testing.T) {
 	}
 }
 
+// TestPlannerChurnBoundsChunks: under steady churn the chunk count
+// follows the pool, not its history. A 10k pool takes 300k random
+// revoke+insert pairs, with a Changed sweep every 32 as a coalescing
+// tenant loop makes one. Every item is worth 1 and needs one of eight
+// workforces, so each new item sorts last among its equals: the inserts
+// split chunks at eight points, and the random revokes thin out the
+// chunks they leave behind. Merging keeps every two adjacent chunks
+// above half a chunk, so the pool never spans more than 4n/chunkSize + 1
+// chunks; without merges this churn ends at 674.
+func TestPlannerChurnBoundsChunks(t *testing.T) {
+	const n, pairs = 10000, 300000
+	rng := rand.New(rand.NewSource(7))
+	item := func(idx int) Item {
+		return Item{Index: idx, Value: 1, Workforce: float64(rng.Intn(8)+1) / 100}
+	}
+	p := NewPlanner(50)
+	live := make([]int, 0, n)
+	for next := range n {
+		if err := p.Insert(item(next)); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, next)
+	}
+	bound := 4*n/chunkSize + 1
+	for i := range pairs {
+		j := rng.Intn(n)
+		if !p.Remove(live[j]) {
+			t.Fatalf("pair %d: Remove(%d) reported missing", i, live[j])
+		}
+		live[j] = n + i
+		if err := p.Insert(item(live[j])); err != nil {
+			t.Fatal(err)
+		}
+		if i%32 == 31 {
+			p.Changed()
+		}
+		if len(p.chunks) > bound {
+			t.Fatalf("pair %d: %d chunks for %d items, bound %d", i, len(p.chunks), n, bound)
+		}
+	}
+	checkChunks(t, p)
+}
+
 // checkChunks asserts the planner's chunk invariants: no chunk is empty
-// or over chunkSize, the entries run in strict compareItems order across
-// chunk boundaries, and they are exactly the live items.
+// or over chunkSize, no two adjacent chunks fit in half a chunk, the
+// entries run in strict compareItems order across chunk boundaries, and
+// they are exactly the live items.
 func checkChunks(t *testing.T, p *Planner) {
 	t.Helper()
 	n := 0
@@ -519,6 +565,9 @@ func checkChunks(t *testing.T, p *Planner) {
 	for ci, c := range p.chunks {
 		if c.n < 1 || c.n > chunkSize {
 			t.Fatalf("chunk %d holds %d entries", ci, c.n)
+		}
+		if ci > 0 && p.chunks[ci-1].n+c.n <= chunkSize/2 {
+			t.Fatalf("chunks %d and %d hold %d and %d entries: they fit in half a chunk", ci-1, ci, p.chunks[ci-1].n, c.n)
 		}
 		for q := range c.e[:c.n] {
 			e := &c.e[q]

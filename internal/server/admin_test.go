@@ -69,6 +69,14 @@ func TestAdminTenantLifecycle(t *testing.T) {
 		CreateTenantRequest{Catalog: store.Catalog{Workforce: 0.5}}, &envelope); code != http.StatusBadRequest {
 		t.Fatalf("empty catalog status %d", code)
 	}
+	// A negative loop setting is refused, not read as its default.
+	if code := call(t, client, "POST", hs.URL+"/v1/admin/tenants/gamma",
+		CreateTenantRequest{Coalesce: -1, Catalog: adminCatalog()}, &envelope); code != http.StatusBadRequest {
+		t.Fatalf("negative coalesce status %d", code)
+	}
+	if _, err := s1.Tenant("gamma"); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("refused tenant is registered: %v", err)
+	}
 
 	// The runtime tenant takes durable traffic like a boot-time one.
 	var sub SubmitResponse

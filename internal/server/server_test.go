@@ -460,6 +460,9 @@ func TestServeConfigValidation(t *testing.T) {
 		"MutationDeadline": func(c *Config) { c.MutationDeadline = -time.Millisecond },
 		"ADPaRWorkers":     func(c *Config) { c.ADPaRWorkers = -1 },
 		"ADPaRQueue":       func(c *Config) { c.ADPaRQueue = -1 },
+		"Parallelism":      func(c *Config) { tc := c.Tenants["alpha"]; tc.Parallelism = -1; c.Tenants["alpha"] = tc },
+		"OpBuffer":         func(c *Config) { tc := c.Tenants["alpha"]; tc.OpBuffer = -1; c.Tenants["alpha"] = tc },
+		"Coalesce":         func(c *Config) { tc := c.Tenants["alpha"]; tc.Coalesce = -1; c.Tenants["alpha"] = tc },
 	} {
 		cfg := Config{Tenants: map[string]TenantConfig{"alpha": fixedTenant(3, 0.5)}}
 		set(&cfg)

@@ -253,6 +253,16 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 	if len(cfg.Models) != len(cfg.Set) {
 		return nil, fmt.Errorf("server: tenant %s: %d strategies with %d model sets", name, len(cfg.Set), len(cfg.Models))
 	}
+	// Each of these reads 0 as its default, so a negative value would
+	// silently mean the default (or, for Parallelism, a sequential sweep).
+	switch {
+	case cfg.Parallelism < 0:
+		return nil, fmt.Errorf("server: tenant %s: negative Parallelism %d", name, cfg.Parallelism)
+	case cfg.OpBuffer < 0:
+		return nil, fmt.Errorf("server: tenant %s: negative OpBuffer %d", name, cfg.OpBuffer)
+	case cfg.Coalesce < 0:
+		return nil, fmt.Errorf("server: tenant %s: negative Coalesce %d", name, cfg.Coalesce)
+	}
 	mgr, err := stream.NewManager(cfg.Set, cfg.Models, cfg.Mode, cfg.Objective, cfg.InitialW)
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %s: %w", name, err)
@@ -266,11 +276,11 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 		return nil, fmt.Errorf("server: tenant %s: %w", name, err)
 	}
 	buf := cfg.OpBuffer
-	if buf <= 0 {
+	if buf == 0 {
 		buf = 64
 	}
 	coalesce := cfg.Coalesce
-	if coalesce <= 0 {
+	if coalesce == 0 {
 		coalesce = 32
 	}
 	t := &Tenant{
@@ -350,14 +360,7 @@ func (t *Tenant) restore(rec wal.Recovered) error {
 			return fmt.Errorf("restoring availability %v: %w", cp.Availability, err)
 		}
 		for _, r := range cp.Requests {
-			if _, err := m.Resubmit(strategy.Request{
-				ID:     r.ID,
-				Params: strategy.Params{Quality: r.Quality, Cost: r.Cost, Latency: r.Latency},
-				K:      r.K,
-			}, r.Sub); err != nil {
-				return fmt.Errorf("re-admitting %s (sub %d): %w", r.ID, r.Sub, err)
-			}
-			if err := t.verifyFingerprint(r.ID, r.Req, r.Infeasible); err != nil {
+			if err := t.readmit(r); err != nil {
 				return fmt.Errorf("re-admitting %s (sub %d): %w", r.ID, r.Sub, err)
 			}
 		}
@@ -367,15 +370,7 @@ func (t *Tenant) restore(rec wal.Recovered) error {
 		var err error
 		switch r.Kind {
 		case wal.KindSubmit:
-			if _, err = m.Resubmit(strategy.Request{
-				ID:     r.ID,
-				Params: strategy.Params{Quality: r.Quality, Cost: r.Cost, Latency: r.Latency},
-				K:      r.K,
-			}, r.Sub); err == nil {
-				if err := t.verifyFingerprint(r.ID, r.Req, r.Infeasible); err != nil {
-					return fmt.Errorf("seq %d (submit %s): %w", r.Seq, r.ID, err)
-				}
-			}
+			err = t.readmit(r)
 		case wal.KindRevoke:
 			err = m.Revoke(r.ID)
 		case wal.KindAvailability:
@@ -393,6 +388,20 @@ func (t *Tenant) restore(rec wal.Recovered) error {
 	}
 	m.Commit()
 	return nil
+}
+
+// readmit re-admits one logged submit under its original submission
+// number and checks its requirement fingerprint. A checkpoint request is
+// the same submit record as a tail submit, so both come through here.
+func (t *Tenant) readmit(r wal.Record) error {
+	if _, err := t.mgr.Resubmit(strategy.Request{
+		ID:     r.ID,
+		Params: strategy.Params{Quality: r.Quality, Cost: r.Cost, Latency: r.Latency},
+		K:      r.K,
+	}, r.Sub); err != nil {
+		return err
+	}
+	return t.verifyFingerprint(r.ID, r.Req, r.Infeasible)
 }
 
 // verifyFingerprint compares a re-admitted request's recomputed workforce
@@ -679,8 +688,8 @@ func (t *Tenant) logMutation(o op, res opResult) (uint64, error) {
 		rec.Sub = seq
 		rec.Infeasible = !req.Feasible()
 		if req.Feasible() {
-			// The flag alone carries an infeasible requirement (+Inf), as
-			// in a checkpoint, whose JSON cannot hold +Inf; Req stays 0.
+			// The flag alone carries an infeasible requirement (+Inf);
+			// Req stays 0.
 			rec.Req = req.Workforce
 		}
 	case opRevoke:

@@ -7,9 +7,10 @@ import (
 	"math"
 )
 
-// Binary record framing — format version 3.
+// Binary framing — format version 3.
 //
-// A v3 record is a length-prefixed, CRC32-C-framed binary frame:
+// Every record, and every part of a checkpoint file, is a
+// length-prefixed, CRC32-C-framed binary frame:
 //
 //	offset  size  field
 //	0       1     magic 0xB3
@@ -17,7 +18,7 @@ import (
 //	5       4     CRC32-C of the payload (uint32, little-endian)
 //	9       n     payload
 //
-// and the payload is a fixed-order field encoding of Record:
+// A record's payload is a fixed-order field encoding of Record:
 //
 //	version   byte (3)
 //	kind      byte (1 = submit, 2 = revoke, 3 = availability)
@@ -30,13 +31,15 @@ import (
 //	              sub (uvarint), req (float64 bits, little-endian)
 //	revoke        id (uvarint length + bytes)
 //	availability  w (float64 bits, little-endian)
+//
+// checkpoint.go lays a checkpoint out in the same frames.
 
 const (
 	// magicV3 opens every binary frame.
 	magicV3 = 0xB3
 	// binHeaderSize is magic + payload length (u32 LE) + CRC32-C (u32 LE).
 	binHeaderSize = 9
-	// maxBinaryPayload bounds the length field. Records are tiny — an ID
+	// maxBinaryPayload bounds the length field. Frames are tiny — an ID
 	// plus a handful of scalars — so a frame claiming a megabyte-plus
 	// payload is corruption, and bounding it keeps recovery from trusting
 	// a garbage length into a giant read.
@@ -51,9 +54,8 @@ const (
 )
 
 // flagInfeasible marks a submit whose aggregated requirement was +Inf at
-// admission (Record.Infeasible). The binary encoding could carry +Inf
-// directly; the flag describes the requirement the way a checkpoint must,
-// since checkpoint JSON cannot carry +Inf.
+// admission (Record.Infeasible). Req stays 0 on such a submit, so the
+// +Inf requirement has one encoding, the flag.
 const flagInfeasible = 1 << 0
 
 func binKindOf(kind string) (byte, bool) {
@@ -70,8 +72,7 @@ func binKindOf(kind string) (byte, bool) {
 
 // AppendRecordBinary appends rec's v3 binary frame to dst and returns the
 // extended slice — the Append hot path reuses one scratch buffer this way,
-// so encoding a record allocates nothing. The frame always carries
-// FormatVersion regardless of rec.V. It panics on an unknown kind;
+// so encoding a record allocates nothing. It panics on an unknown kind;
 // EncodeRecordBinary is the validating wrapper.
 func AppendRecordBinary(dst []byte, rec Record) []byte {
 	kb, ok := binKindOf(rec.Kind)
@@ -79,8 +80,7 @@ func AppendRecordBinary(dst []byte, rec Record) []byte {
 		panic(fmt.Sprintf("wal: AppendRecordBinary: unknown kind %q", rec.Kind))
 	}
 	start := len(dst)
-	dst = append(dst, magicV3, 0, 0, 0, 0, 0, 0, 0, 0)
-	p := len(dst)
+	dst = beginFrame(dst)
 	dst = append(dst, FormatVersion, kb)
 	dst = binary.AppendUvarint(dst, rec.Seq)
 	dst = binary.AppendUvarint(dst, rec.Epoch)
@@ -103,10 +103,22 @@ func AppendRecordBinary(dst []byte, rec Record) []byte {
 	case binKindAvailability:
 		dst = appendBinFloat(dst, rec.W)
 	}
-	payload := dst[p:]
+	endFrame(dst, start)
+	return dst
+}
+
+// beginFrame appends a frame header whose length and CRC endFrame fills
+// in once the payload follows it.
+func beginFrame(dst []byte) []byte {
+	return append(dst, magicV3, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// endFrame seals the frame that starts at dst[start]: everything after
+// its header is the payload.
+func endFrame(dst []byte, start int) {
+	payload := dst[start+binHeaderSize:]
 	binary.LittleEndian.PutUint32(dst[start+1:start+5], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+5:start+9], crc32.Checksum(payload, castagnoli))
-	return dst
 }
 
 // EncodeRecordBinary renders one framed v3 binary record.
@@ -126,32 +138,44 @@ func EncodeRecordBinary(rec Record) ([]byte, error) {
 // not speak. FuzzWALDecodeV3 hammers this surface: any input must yield a
 // record or a typed error, never a panic.
 func DecodeRecordBinary(data []byte) (Record, int, error) {
-	if len(data) == 0 {
-		return Record{}, 0, fmt.Errorf("%w: empty frame", ErrTorn)
-	}
-	if data[0] != magicV3 {
-		return Record{}, 0, fmt.Errorf("%w: not a binary frame (first byte %#02x)", ErrCRC, data[0])
-	}
-	if len(data) < binHeaderSize {
-		return Record{}, 0, fmt.Errorf("%w: %d-byte frame header", ErrTorn, len(data))
-	}
-	n := binary.LittleEndian.Uint32(data[1:5])
-	if n > maxBinaryPayload {
-		return Record{}, 0, fmt.Errorf("%w: implausible payload length %d", ErrCRC, n)
-	}
-	total := binHeaderSize + int(n)
-	if len(data) < total {
-		return Record{}, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrTorn, len(data)-binHeaderSize, n)
-	}
-	payload := data[binHeaderSize:total]
-	if want, got := binary.LittleEndian.Uint32(data[5:9]), crc32.Checksum(payload, castagnoli); got != want {
-		return Record{}, 0, fmt.Errorf("%w: want %08x, got %08x", ErrCRC, want, got)
+	payload, size, err := readFrame(data)
+	if err != nil {
+		return Record{}, 0, err
 	}
 	rec, err := decodeBinPayload(payload)
 	if err != nil {
 		return Record{}, 0, err
 	}
-	return rec, total, nil
+	return rec, size, nil
+}
+
+// readFrame verifies the frame at the front of data and returns its
+// payload and the frame's size, leaving the payload's meaning to the
+// caller. It fails with ErrTorn when data ends mid-frame and with ErrCRC
+// when the bytes are not an intact frame.
+func readFrame(data []byte) ([]byte, int, error) {
+	if len(data) == 0 {
+		return nil, 0, fmt.Errorf("%w: empty frame", ErrTorn)
+	}
+	if data[0] != magicV3 {
+		return nil, 0, fmt.Errorf("%w: not a binary frame (first byte %#02x)", ErrCRC, data[0])
+	}
+	if len(data) < binHeaderSize {
+		return nil, 0, fmt.Errorf("%w: %d-byte frame header", ErrTorn, len(data))
+	}
+	n := binary.LittleEndian.Uint32(data[1:5])
+	if n > maxBinaryPayload {
+		return nil, 0, fmt.Errorf("%w: implausible payload length %d", ErrCRC, n)
+	}
+	size := binHeaderSize + int(n)
+	if len(data) < size {
+		return nil, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrTorn, len(data)-binHeaderSize, n)
+	}
+	payload := data[binHeaderSize:size]
+	if want, got := binary.LittleEndian.Uint32(data[5:9]), crc32.Checksum(payload, castagnoli); got != want {
+		return nil, 0, fmt.Errorf("%w: want %08x, got %08x", ErrCRC, want, got)
+	}
+	return payload, size, nil
 }
 
 // decodeBinPayload parses a CRC-verified payload. Violations past this
@@ -165,7 +189,6 @@ func decodeBinPayload(p []byte) (Record, error) {
 	if p[0] != FormatVersion {
 		return rec, fmt.Errorf("%w: binary frame version %d (this build reads %d)", ErrVersion, p[0], FormatVersion)
 	}
-	rec.V = FormatVersion
 	kb := p[1]
 	p = p[2:]
 	var ok bool

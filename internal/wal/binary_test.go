@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +24,6 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 		{Kind: KindAvailability, W: 0, Epoch: 0},
 	}
 	for _, rec := range recs {
-		rec.V = FormatVersion
 		rec.Seq = 7
 		frame, err := EncodeRecordBinary(rec)
 		if err != nil {
@@ -85,30 +85,20 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		}
 	}
 
-	// CRC-valid frames with payloads this build does not speak: re-frame
+	// CRC-valid frames with payloads this build does not speak: frame
 	// crafted payloads with a correct checksum.
-	reframe := func(payload []byte) []byte {
-		out := AppendRecordBinary(nil, Record{Kind: KindRevoke, Epoch: 1})
-		out = out[:binHeaderSize] // keep a well-formed header to overwrite
-		out = append(out, payload...)
-		out[1] = byte(len(payload))
-		out[2], out[3], out[4] = byte(len(payload)>>8), byte(len(payload)>>16), byte(len(payload)>>24)
-		crc := crc32.Checksum(payload, castagnoli)
-		out[5], out[6], out[7], out[8] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
-		return out
-	}
 	good := frame[binHeaderSize:]
 	payloadCases := []struct {
 		name string
 		in   []byte
 		want error
 	}{
-		{"wrong version", reframe(append([]byte{99}, good[1:]...)), ErrVersion},
-		{"v2 binary claim", reframe(append([]byte{2}, good[1:]...)), ErrVersion},
-		{"unknown kind code", reframe(append([]byte{FormatVersion, 9}, good[2:]...)), ErrKind},
-		{"unknown flag bits", reframe([]byte{FormatVersion, binKindAvailability, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0}), ErrKind},
-		{"trailing bytes", reframe(append(append([]byte{}, good...), 0x00)), ErrKind},
-		{"truncated fields", reframe(good[:4]), ErrKind},
+		{"wrong version", frameOf(append([]byte{99}, good[1:]...)), ErrVersion},
+		{"v2 binary claim", frameOf(append([]byte{2}, good[1:]...)), ErrVersion},
+		{"unknown kind code", frameOf(append([]byte{FormatVersion, 9}, good[2:]...)), ErrKind},
+		{"unknown flag bits", frameOf([]byte{FormatVersion, binKindAvailability, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0}), ErrKind},
+		{"trailing bytes", frameOf(append(append([]byte{}, good...), 0x00)), ErrKind},
+		{"truncated fields", frameOf(good[:4]), ErrKind},
 	}
 	for _, tc := range payloadCases {
 		if _, _, err := DecodeRecordBinary(tc.in); !errors.Is(err, tc.want) {
@@ -150,6 +140,30 @@ func v2Lines(tb testing.TB, first uint64, n int) []byte {
 		out = appendFrame(out, payload)
 	}
 	return out
+}
+
+// appendFrame appends payload to dst in the JSON-line framing v1/v2
+// builds wrote: a hex CRC32-C, a space, the payload, a newline.
+func appendFrame(dst, payload []byte) []byte {
+	dst = fmt.Appendf(dst, "%08x ", crc32.Checksum(payload, castagnoli))
+	dst = append(dst, payload...)
+	return append(dst, '\n')
+}
+
+// frameOf wraps payload in a v3 frame with a valid length and CRC.
+func frameOf(payload []byte) []byte {
+	f := append(beginFrame(nil), payload...)
+	endFrame(f, 0)
+	return f
+}
+
+// v4Frame is an intact frame of a format version this build does not
+// read: a submit record's payload with its version byte set to 4.
+func v4Frame(seq uint64) []byte {
+	rec := submitRec("future", seq-1, seq)
+	rec.Seq = seq
+	payload := AppendRecordBinary(nil, rec)[binHeaderSize:]
+	return frameOf(append([]byte{4}, payload[1:]...))
 }
 
 // binFrames renders n submit records, seqs first.., as v3 frames.
@@ -208,6 +222,184 @@ func TestV2SegmentRefused(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIntactUnreadableFrameRefused: a frame that passes its length and
+// CRC checks but that this build does not read cannot be a torn append,
+// which leaves a frame cut short or failing its CRC. At the tail of the
+// last segment too, Scan and Open refuse it with its typed error, naming
+// the segment and offset, and the segment stays byte-identical.
+func TestIntactUnreadableFrameRefused(t *testing.T) {
+	head := binFrames(1, 2)
+	header := encodeCheckpoint(Checkpoint{Seq: 2, Epoch: 2, NextSub: 2})
+	whole := encodeCheckpoint(Checkpoint{Seq: 2, Epoch: 2, NextSub: 2, Requests: []CheckpointRequest{submitRec("d1", 1, 0)}})
+	cases := []struct {
+		name string
+		seg  []byte
+		off  int
+		want error
+	}{
+		{"version-4 frame at the tail", slices.Concat(head, v4Frame(3)), len(head), ErrVersion},
+		{"two version-4 frames at the tail", slices.Concat(head, v4Frame(3), v4Frame(4)), len(head), ErrVersion},
+		{"checkpoint header frame at the tail", slices.Concat(head, header), len(head), ErrKind},
+		{"checkpoint header frame inside a segment", slices.Concat(head, header, binFrames(3, 1)), len(head), ErrKind},
+		{"checkpoint file as a segment", whole, 0, ErrKind},
+		{"garbage before an intact frame at the tail", slices.Concat(head, []byte{0}, v4Frame(3)), len(head), ErrCRC},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, segmentName(1))
+			if err := os.WriteFile(path, tc.seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("%s: record at offset %d", segmentName(1), tc.off)
+			if _, err := Scan(dir); !errors.Is(err, tc.want) || !strings.Contains(err.Error(), where) {
+				t.Fatalf("scan: %v, want %v at %s", err, tc.want, where)
+			}
+			if l, _, err := Open(dir, Options{}); !errors.Is(err, tc.want) || !strings.Contains(err.Error(), where) {
+				if err == nil {
+					l.Close()
+				}
+				t.Fatalf("open: %v, want %v at %s", err, tc.want, where)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, tc.seg) {
+				t.Fatalf("segment changed under the refused open (read err %v)", err)
+			}
+		})
+	}
+}
+
+// jsonCheckpoint and jsonCheckpointRequest are a checkpoint under the
+// JSON field names builds before the frame checkpoint wrote, one JSON
+// line per file.
+type jsonCheckpoint struct {
+	V            int                     `json:"v"`
+	Seq          uint64                  `json:"seq"`
+	Epoch        uint64                  `json:"epoch"`
+	Availability float64                 `json:"availability"`
+	NextSub      uint64                  `json:"next_sub"`
+	Requests     []jsonCheckpointRequest `json:"requests"`
+}
+
+type jsonCheckpointRequest struct {
+	ID      string  `json:"id"`
+	Quality float64 `json:"quality"`
+	Cost    float64 `json:"cost"`
+	Latency float64 `json:"latency"`
+	K       int     `json:"k"`
+	Sub     uint64  `json:"sub"`
+	Req     float64 `json:"req,omitempty"`
+}
+
+// jsonCheckpointLine renders a one-request checkpoint at seq as the JSON
+// line a build of format version v wrote.
+func jsonCheckpointLine(tb testing.TB, v int, seq uint64) []byte {
+	tb.Helper()
+	payload, err := json.Marshal(jsonCheckpoint{
+		V: v, Seq: seq, Epoch: seq, Availability: 0.7, NextSub: seq,
+		Requests: []jsonCheckpointRequest{{ID: "d1", Quality: 0.4, Cost: 0.3, Latency: 0.2, K: 3, Sub: seq - 1, Req: 1.5}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return appendFrame(nil, payload)
+}
+
+// TestJSONCheckpointRefused: a checkpoint in the JSON-line framing of
+// earlier builds holds state this build does not read. Scan and Open
+// refuse it with ErrVersion naming the file, rather than skipping it as
+// corrupt, and leave every file byte-identical.
+func TestJSONCheckpointRefused(t *testing.T) {
+	for _, v := range []int{2, 3} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string][]byte{
+				checkpointName(5): jsonCheckpointLine(t, v, 5),
+				segmentName(6):    binFrames(6, 2),
+			}
+			for name, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := Scan(dir); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), checkpointName(5)) {
+				t.Fatalf("scan: %v, want ErrVersion naming %s", err, checkpointName(5))
+			}
+			if l, _, err := Open(dir, Options{}); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), checkpointName(5)) {
+				if err == nil {
+					l.Close()
+				}
+				t.Fatalf("open: %v, want ErrVersion naming %s", err, checkpointName(5))
+			}
+			for name, want := range files {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s changed under the refused open (read err %v)", name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointDecode: a checkpoint round-trips through its frames, and
+// each way a file can fail to be one is refused with ErrCheckpoint.
+func TestCheckpointDecode(t *testing.T) {
+	cp := Checkpoint{Seq: 9, Epoch: 12, Availability: 0.65, NextSub: 11, Requests: []CheckpointRequest{
+		{Kind: KindSubmit, ID: "a", Quality: 0.4, Cost: 0.3, Latency: 0.2, K: 3, Sub: 2, Req: 1.25},
+		{Kind: KindSubmit, ID: "b", Quality: 0.9, Cost: 0.1, Latency: 0.1, K: 1, Sub: 10, Infeasible: true},
+	}}
+	data := encodeCheckpoint(cp)
+	got, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != cp.Seq || got.Epoch != cp.Epoch || got.Availability != cp.Availability ||
+		got.NextSub != cp.NextSub || !slices.Equal(got.Requests, cp.Requests) {
+		t.Fatalf("round trip: got %+v, want %+v", got, cp)
+	}
+	// The encoder stores only what re-admission reads.
+	stray := cp
+	stray.Requests = []CheckpointRequest{{Kind: KindRevoke, Seq: 4, Epoch: 5, W: 0.5, ID: "a", K: 3, Sub: 2, Req: 1.25, Quality: 0.4, Cost: 0.3, Latency: 0.2}, cp.Requests[1]}
+	if !bytes.Equal(encodeCheckpoint(stray), data) {
+		t.Fatal("encoder kept a request's kind, seq, epoch or w")
+	}
+
+	header, _, err := readFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withHeader := func(edit func(p []byte) []byte) []byte {
+		return slices.Concat(frameOf(edit(slices.Clone(header))), data[binHeaderSize+len(header):])
+	}
+	firstOnly := data[:len(data)-len(AppendRecordBinary(nil, cp.Requests[1]))] // header and request 0
+	revoke := AppendRecordBinary(nil, Record{Kind: KindRevoke, ID: "a"})
+	numbered := AppendRecordBinary(nil, Record{Kind: KindSubmit, ID: "a", K: 1, Seq: 3})
+	cases := []struct {
+		name string
+		in   []byte
+	}{
+		{"empty", nil},
+		{"torn header", data[:5]},
+		{"header version 4", withHeader(func(p []byte) []byte { p[0] = 4; return p })},
+		{"header with a record kind", withHeader(func(p []byte) []byte { p[1] = binKindSubmit; return p })},
+		{"header trailing byte", withHeader(func(p []byte) []byte { return append(p, 0) })},
+		{"header cut short", withHeader(func(p []byte) []byte { return p[:len(p)-1] })},
+		{"count past the bytes", withHeader(func(p []byte) []byte {
+			return binary.AppendUvarint(p[:len(p)-1], uint64(len(data)))
+		})},
+		{"missing request", firstOnly},
+		{"torn request", data[:len(data)-1]},
+		{"revoke frame", slices.Concat(firstOnly, revoke)},
+		{"numbered submit", slices.Concat(firstOnly, numbered)},
+		{"trailing bytes", slices.Concat(data, []byte{0})},
+		{"trailing frame", slices.Concat(data, revoke)},
+		{"JSON line", jsonCheckpointLine(t, FormatVersion, 9)},
+	}
+	for _, tc := range cases {
+		if _, err := decodeCheckpoint(tc.in); !errors.Is(err, ErrCheckpoint) {
+			t.Errorf("%s: got %v, want ErrCheckpoint", tc.name, err)
+		}
 	}
 }
 
@@ -352,32 +544,5 @@ func TestSyncFailureDiscardsBatch(t *testing.T) {
 	}
 	if got.LastSeq != 2 || len(got.Tail) != 2 || got.TornBytes != 0 {
 		t.Fatalf("failed batch left a trace: %+v", got)
-	}
-}
-
-// TestV2CheckpointReadable: DecodeCheckpoint accepts both the v2 and v3
-// version stamps and rejects others.
-func TestV2CheckpointReadable(t *testing.T) {
-	for _, v := range []int{2, 3} {
-		line, err := EncodeCheckpoint(Checkpoint{V: v, Seq: 1, Epoch: 1, NextSub: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// EncodeCheckpoint does not rewrite V — it serializes what it is
-		// given — so fabricate both stamps directly.
-		cp, err := DecodeCheckpoint(line)
-		if err != nil {
-			t.Fatalf("v%d checkpoint rejected: %v", v, err)
-		}
-		if cp.V != v {
-			t.Fatalf("checkpoint version: got %d want %d", cp.V, v)
-		}
-	}
-	line, err := EncodeCheckpoint(Checkpoint{V: 1, Seq: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCheckpoint(line); !errors.Is(err, ErrCheckpoint) {
-		t.Fatalf("v1 checkpoint accepted: %v", err)
 	}
 }

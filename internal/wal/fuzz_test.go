@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -61,6 +62,10 @@ func FuzzScan(f *testing.F) {
 	f.Add(AppendRecordBinary(nil, Record{Kind: KindRevoke, ID: "x"})) // seq 0
 	f.Add(v2Lines(f, 1, 3))
 	f.Add(slices.Concat(binFrames(1, 2), v2Lines(f, 3, 1)))
+	// Intact frames this build does not read at the tail: another
+	// version, and a checkpoint header.
+	f.Add(slices.Concat(binFrames(1, 2), v4Frame(3)))
+	f.Add(slices.Concat(binFrames(1, 2), encodeCheckpoint(Checkpoint{Seq: 2, Epoch: 2, NextSub: 2})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -107,6 +112,37 @@ func FuzzScan(f *testing.F) {
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, keep) {
 			t.Fatalf("after Open and Close the segment is %x, want %x (read err %v)", got, keep, err)
+		}
+	})
+}
+
+// FuzzCheckpoint hammers the checkpoint decoder: arbitrary bytes must
+// fail with an error wrapping ErrCheckpoint, or decode to a checkpoint
+// whose encoding is byte-identical to the input — never panic, and never
+// size an allocation by a request count the bytes cannot back.
+func FuzzCheckpoint(f *testing.F) {
+	three := encodeCheckpoint(Checkpoint{Seq: 7, Epoch: 9, Availability: 0.6, NextSub: 5, Requests: []CheckpointRequest{
+		submitRec("a", 0, 0), submitRec("b", 2, 0), {ID: "c", Quality: 0.9, K: 1, Sub: 4, Infeasible: true},
+	}})
+	f.Add(encodeCheckpoint(Checkpoint{}))
+	f.Add(three)
+	f.Add(three[:len(three)-3])
+	huge := []byte{FormatVersion, ckptHeaderKind, 1, 1}
+	huge = binary.LittleEndian.AppendUint64(huge, 0)
+	huge = binary.AppendUvarint(append(huge, 1), 1<<40)
+	f.Add(frameOf(huge))
+	f.Add(jsonCheckpointLine(f, FormatVersion, 7))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := decodeCheckpoint(data)
+		if err != nil {
+			if !errors.Is(err, ErrCheckpoint) {
+				t.Fatalf("refusal does not wrap ErrCheckpoint: %v", err)
+			}
+			return
+		}
+		if enc := encodeCheckpoint(cp); !bytes.Equal(enc, data) {
+			t.Fatalf("non-canonical checkpoint accepted:\n    input %x\nre-encode %x", data, enc)
 		}
 	})
 }

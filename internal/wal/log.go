@@ -141,16 +141,19 @@ func scan(dir string) (scanState, error) {
 					return st, fmt.Errorf("%w: %s: record at offset %d is a v1/v2 JSON line; this build reads only v%d binary frames",
 						ErrVersion, segmentName(first), at, FormatVersion)
 				}
-				if last && !validRecordFollows(data, off) {
+				torn := errors.Is(derr, ErrTorn) || errors.Is(derr, ErrCRC)
+				if last && torn && !frameFollows(data, off) {
 					// The one legitimate fault: a torn append at the very
-					// tail — an unreadable final record with nothing valid
-					// after it. Everything before it is intact.
+					// tail — a frame cut short or failing its CRC, with no
+					// intact frame after it. Everything before it is
+					// intact.
 					st.rec.TornBytes = len(data) - int(off)
 					return st, nil
 				}
-				// An unreadable record with acknowledged records after it
-				// is disk corruption, not a crash artifact: refuse to
-				// recover a log with a hole in it.
+				// An intact frame this build cannot read is not a crash
+				// artifact, and an unreadable record with intact frames
+				// after it is disk corruption: refuse to recover a log
+				// with a hole in it.
 				return st, fmt.Errorf("wal: %s: record at offset %d: %w", segmentName(first), off, derr)
 			}
 			// Records the checkpoint covers precede the tail only in a
@@ -184,7 +187,7 @@ func scan(dir string) (scanState, error) {
 func jsonLineFrom(data []byte, off int) int {
 	for {
 		line, _, more := bytes.Cut(data[off:], []byte("\n"))
-		if _, err := decodeFrame(line); err == nil {
+		if isJSONLine(line) {
 			return off
 		}
 		if !more {
@@ -194,15 +197,16 @@ func jsonLineFrom(data []byte, off int) int {
 	}
 }
 
-// validRecordFollows reports whether any complete, decodable record
-// exists after the broken record starting at off — distinguishing a torn
-// tail (nothing valid follows) from mid-log corruption (valid data
-// follows). A torn frame gives no way to know where the next record
-// would have started, so every magic byte after off is probed.
-func validRecordFollows(data []byte, off int64) bool {
+// frameFollows reports whether any intact frame — one that passes its
+// length and CRC checks, whatever its payload — exists after the broken
+// record starting at off, distinguishing a torn tail (nothing intact
+// follows) from mid-log corruption. A torn frame gives no way to know
+// where the next record would have started, so every magic byte after
+// off is probed.
+func frameFollows(data []byte, off int64) bool {
 	for i := int(off) + 1; i < len(data); i++ {
 		if data[i] == magicV3 {
-			if _, _, err := DecodeRecordBinary(data[i:]); err == nil {
+			if _, _, err := readFrame(data[i:]); err == nil {
 				return true
 			}
 		}
@@ -349,7 +353,6 @@ var errBroken = errors.New("wal: log is broken after an earlier append failure")
 // fsyncs, so the record is durable when Append returns; under SyncManual
 // the record is durable only once a later Sync returns nil.
 func (l *Log) Append(rec Record) (uint64, error) {
-	rec.V = FormatVersion
 	rec.Seq = l.seq.Load() + 1
 	if l.broken {
 		return 0, errBroken
@@ -436,15 +439,14 @@ func (l *Log) fail() {
 
 // Checkpoint makes cp durable as of the log's current tip, rotates onto a
 // fresh segment, and truncates the log: every older segment and
-// checkpoint file is deleted. cp's V and Seq are filled in. It returns
-// the number of segment files removed.
+// checkpoint file is deleted. cp's Seq is filled in. It returns the
+// number of segment files removed.
 func (l *Log) Checkpoint(cp Checkpoint) (int, error) {
 	if l.broken {
 		// Flushing here would durably persist the unacknowledged record a
 		// failed append left in the buffer.
 		return 0, errors.New("wal: checkpoint refused on a broken log")
 	}
-	cp.V = FormatVersion
 	cp.Seq = l.seq.Load()
 	// Everything the checkpoint claims to cover must be durable first.
 	// This can run mid-coalesced-batch (an auto-checkpoint between a
@@ -465,12 +467,8 @@ func (l *Log) Checkpoint(cp Checkpoint) (int, error) {
 	l.durableSeq.Store(l.seq.Load())
 
 	// Durable checkpoint first: temp file, fsync, atomic rename, dir sync.
-	line, err := EncodeCheckpoint(cp)
-	if err != nil {
-		return 0, err
-	}
 	tmp := filepath.Join(l.dir, "checkpoint.tmp")
-	if err := writeFileSync(tmp, line); err != nil {
+	if err := writeFileSync(tmp, encodeCheckpoint(cp)); err != nil {
 		return 0, err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, checkpointName(cp.Seq))); err != nil {

@@ -18,25 +18,26 @@
 //
 // The CRC covers exactly the payload bytes, so any torn or corrupted
 // record is detected before it is trusted. Payloads are versioned
-// (Record.V) and carry a log-wide monotonically increasing sequence
+// (FormatVersion) and carry a log-wide monotonically increasing sequence
 // number assigned at append time; recovery rejects gaps and regressions,
 // and tolerates exactly one torn record at the very tail of the last
 // segment (the unacknowledged write a crash can leave behind), which is
-// truncated away before the log reopens for append. Records in the v1/v2
-// JSON-line framing that builds before v3 wrote are not read: a scan
-// that meets one refuses the log with ErrVersion instead of truncating it
-// as a torn tail.
+// truncated away before the log reopens for append. Only a frame cut
+// short or failing its CRC counts as torn: an intact frame this build
+// does not read, such as a record of another version, is refused with
+// its typed error wherever it sits. Records in the v1/v2 JSON-line
+// framing that builds before v3 wrote are not read either: a scan that
+// meets one refuses the log with ErrVersion instead of truncating it as
+// a torn tail.
 //
-// A checkpoint file is a single framed line,
-//
-//	<crc32c hex, 8 chars> <space> <JSON payload> <newline>
-//
-// whose payload is a Checkpoint: the full tenant state (open requests in
-// admission order with their submission sequence numbers, availability,
-// plan epoch, submission counter) as of WAL sequence number Seq. Writing
-// a checkpoint rotates the log onto a fresh segment and deletes every
-// segment and checkpoint made obsolete by it, which is how the log is
-// truncated.
+// A checkpoint file is written in the same frames: one header frame
+// (seq, epoch, availability, submission counter, request count) followed
+// by the open pool as the submit-record frames that re-admit it, in
+// admission order (see checkpoint.go). It holds the full tenant state as
+// of WAL sequence number Seq. Writing a checkpoint rotates the log onto a
+// fresh segment and deletes every segment and checkpoint made obsolete
+// by it, which is how the log is truncated. A checkpoint in the JSON-line
+// framing of earlier builds is refused with ErrVersion, not skipped.
 //
 // # Fault model
 //
@@ -84,10 +85,11 @@ import (
 //	    mutation, serving-set change or not), and submit records carry
 //	    the admitted request's computed workforce requirement as a
 //	    recovery fingerprint.
-//	3 — same record schema as v2, binary framing (binary.go). This
-//	    build reads v3 records only and refuses a v1/v2 JSON-line
-//	    record with ErrVersion. Checkpoints keep their JSON-line
-//	    framing, and v2 checkpoints stay readable.
+//	3 — same record schema as v2, binary framing (binary.go).
+//	    Checkpoints are v3 frames too: a header frame and one submit
+//	    frame per open request (checkpoint.go). This build reads v3
+//	    only and refuses a v1/v2 JSON-line record, or a JSON-line
+//	    checkpoint, with ErrVersion.
 const FormatVersion = 3
 
 // Record kinds mirror the three mutations of a stream.Manager.
@@ -101,8 +103,6 @@ const (
 // rejected ones (validation errors, duplicate IDs, unknown IDs) never
 // change state, so replaying the log can never hit an expected error.
 type Record struct {
-	// V is the payload format version (FormatVersion).
-	V int
 	// Seq is the log-wide monotonic sequence number, assigned by Append.
 	Seq uint64
 	// Kind is KindSubmit, KindRevoke or KindAvailability.
@@ -138,18 +138,19 @@ type Record struct {
 	Req float64
 	// Infeasible marks a submit whose requirement was +Inf at admission.
 	// The binary frame carries it as a flag bit (flagInfeasible) and Req
-	// stays 0, the same shape a checkpoint entry has.
+	// stays 0.
 	Infeasible bool
 }
 
 // Decode errors. ErrTorn marks frames that end mid-record (the one fault
-// a crash legitimately produces); ErrVersion marks an intact record in a
-// format this build does not read, such as a v1/v2 JSON line; the others
-// mark corruption.
+// a crash legitimately produces); ErrVersion marks an intact record or
+// checkpoint in a format this build does not read, such as a v1/v2 JSON
+// line; ErrKind marks an intact frame whose payload this build does not
+// read; ErrCRC marks corruption.
 var (
 	ErrTorn    = errors.New("wal: torn record")
 	ErrCRC     = errors.New("wal: CRC mismatch")
-	ErrVersion = errors.New("wal: unsupported record version")
+	ErrVersion = errors.New("wal: unsupported format version")
 	ErrKind    = errors.New("wal: unknown record kind")
 )
 
@@ -157,33 +158,17 @@ var (
 // on both amd64 and arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameOverhead is the framed-line size beyond the payload: 8 hex CRC
-// chars, one space, one newline.
-const frameOverhead = 10
-
-// appendFrame appends the framed encoding of payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = fmt.Appendf(dst, "%08x ", crc32.Checksum(payload, castagnoli))
-	dst = append(dst, payload...)
-	return append(dst, '\n')
-}
-
-// decodeFrame verifies one framed line (without its trailing newline) and
-// returns the JSON payload. The caller decides what the payload is.
-func decodeFrame(line []byte) ([]byte, error) {
-	if len(line) < frameOverhead-1 { // shorter than CRC + space + "{}" can't be whole
-		return nil, fmt.Errorf("%w: %d-byte frame", ErrTorn, len(line))
-	}
-	if line[8] != ' ' {
-		return nil, fmt.Errorf("%w: malformed frame header", ErrCRC)
+// isJSONLine reports whether line (without its trailing newline) is an
+// intact frame of the JSON-line framing earlier builds wrote v1/v2
+// records and checkpoints in: 8 hex CRC32-C chars, a space, and the
+// payload the CRC covers.
+func isJSONLine(line []byte) bool {
+	if len(line) < 9 || line[8] != ' ' {
+		return false
 	}
 	var want uint32
 	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return nil, fmt.Errorf("%w: unparsable CRC: %v", ErrCRC, err)
+		return false
 	}
-	payload := line[9:]
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("%w: want %08x, got %08x", ErrCRC, want, got)
-	}
-	return payload, nil
+	return crc32.Checksum(line[9:], castagnoli) == want
 }
