@@ -23,12 +23,14 @@ import (
 // On divergence the failing trace is minimized with delta debugging and
 // written to -artifact as replayable JSON, and the exit status is nonzero.
 //
-// The crash-recovery profile replays a steady trace through a durable
-// server, kills it at a seeded mid-trace point (after a mid-run
-// checkpoint), restarts it from disk, diffs the recovered snapshot
-// field-by-field against the naive full-replay oracle, and finishes the
-// trace with the full oracle layer. Its failure artifact is the trace
-// plus the data directory itself (kept in place, path printed), not a
+// The crash-recovery profile replays a steady trace (or the -replay
+// artifact) through a durable server, kills it at a seeded mid-trace
+// point (after a mid-run checkpoint), restarts it from disk, diffs the
+// recovered snapshot field-by-field against the naive full-replay
+// oracle, and finishes the trace with the full oracle layer. The kill
+// point derives from the trace's seed, so replaying a trace written with
+// -out kills at the same event. Its failure artifact is the trace plus
+// the data directory itself (kept in place, path printed), not a
 // minimized trace: the failure depends on the kill point, which ddmin
 // event deletion does not preserve.
 //
@@ -57,38 +59,35 @@ func runConform(args []string) error {
 		quiet      = fs.Bool("quiet", false, "suppress the progress line")
 		viaBatch   = fs.Bool("via-batch", false, "route every mutation through POST /v1/tenants/{tenant}/ops as a one-op batch (steady/chaos and crash-recovery profiles)")
 		gcWindow   = fs.Duration("wal-group-commit-window", 0, "crash-recovery and overload profiles: the server's WAL commit window, the longest a round waits for tenant loops still mid-cycle, never for an idle loop (0 = commit each batch as soon as it is appended)")
+		dataDir    = fs.String("data-dir", "", "crash-recovery and overload profiles: durability dir, empty or absent (empty = temp dir, removed after a clean run; kept on failure either way)")
 
 		crashCut  = fs.Int("crash-cut", -1, "crash-recovery: event index to kill at (-1 = seeded mid-trace point)")
-		crashDir  = fs.String("crash-data-dir", "", "crash-recovery: durability dir (empty = temp dir; kept on failure either way)")
 		crashTorn = fs.Bool("crash-torn-tail", false, "crash-recovery: also inject a torn partial record at the kill point")
 
 		ovWorkers  = fs.Int("overload-workers", 0, "overload profiles: concurrent writer goroutines (0 = 8)")
 		ovOps      = fs.Int("overload-ops", 0, "overload profiles: mutations per writer (0 = 60)")
 		ovBuffer   = fs.Int("overload-op-buffer", 0, "overload profiles: tenant inbox capacity (0 = 4, deliberately smaller than the writer count)")
 		ovDeadline = fs.Int("overload-deadline-ms", 10, "overload profiles: X-Request-Deadline-Ms attached to every third mutation (0 disables)")
-		ovDir      = fs.String("overload-data-dir", "", "overload profiles: durability dir (empty = temp dir; kept on violation either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	for _, p := range conformance.OverloadProfiles {
 		if *profile == string(p) {
-			return runConformOverload(p, overloadArgs{
-				seed: *seed, strategies: *strategies,
-				workers: *ovWorkers, ops: *ovOps, opBuffer: *ovBuffer,
-				deadlineMs: *ovDeadline, dataDir: *ovDir, artifact: *artifact,
-				gcWindow: *gcWindow,
-			})
+			return runConformOverload(conformance.OverloadConfig{
+				Profile:           p,
+				Seed:              *seed,
+				Strategies:        *strategies,
+				Workers:           *ovWorkers,
+				OpsPerWorker:      *ovOps,
+				OpBuffer:          *ovBuffer,
+				DeadlineMs:        *ovDeadline,
+				GroupCommitWindow: *gcWindow,
+				DataDir:           *dataDir,
+			}, *artifact)
 		}
 	}
-	if *profile == "crash-recovery" {
-		return runConformCrash(crashArgs{
-			seed: *seed, events: *events, tenants: *tenants, strategies: *strategies, k: *k,
-			bbLimit: *bbLimit, adparPar: *adparPar, outPath: *outPath,
-			cut: *crashCut, dataDir: *crashDir, tornTail: *crashTorn, quiet: *quiet,
-			viaBatch: *viaBatch, gcWindow: *gcWindow,
-		})
-	}
+	crash := *profile == "crash-recovery"
 
 	var (
 		tr  conformance.Trace
@@ -109,13 +108,17 @@ func runConform(args []string) error {
 		if *strategies > adpar.BruteForceLimit {
 			return fmt.Errorf("conform: -strategies %d exceeds the brute-force oracle bound %d", *strategies, adpar.BruteForceLimit)
 		}
+		gen := conformance.Profile(*profile)
+		if crash {
+			gen = conformance.Steady
+		}
 		tr, err = conformance.Generate(conformance.GenConfig{
 			Seed:           *seed,
 			Events:         *events,
 			Tenants:        *tenants,
 			Strategies:     *strategies,
 			K:              *k,
-			Profile:        conformance.Profile(*profile),
+			Profile:        gen,
 			MarketFeedback: *market,
 		})
 		if err != nil {
@@ -130,23 +133,50 @@ func runConform(args []string) error {
 		}
 	}
 
-	cfg := conformance.RunConfig{
-		Parallelism:      *adparPar,
-		BranchBoundLimit: *bbLimit,
-		ViaBatch:         *viaBatch,
-	}
-	if !*quiet {
-		every := len(tr.Events) / 10
-		if every > 0 {
-			cfg.OnEvent = func(i int, _ conformance.Event) {
-				if i%every == 0 && i > 0 {
-					fmt.Printf("conform: %d/%d events\n", i, len(tr.Events))
-				}
+	var onEvent func(int, conformance.Event)
+	if every := len(tr.Events) / 10; !*quiet && every > 0 {
+		onEvent = func(i int, _ conformance.Event) {
+			if i%every == 0 && i > 0 {
+				fmt.Printf("conform: %d/%d events\n", i, len(tr.Events))
 			}
 		}
 	}
 
 	start := time.Now()
+	if crash {
+		res, err := conformance.RunCrash(tr, conformance.CrashConfig{
+			Parallelism:       *adparPar,
+			BranchBoundLimit:  *bbLimit,
+			Cut:               *crashCut,
+			CheckpointAt:      -1,
+			TornTail:          *crashTorn,
+			ViaBatch:          *viaBatch,
+			GroupCommitWindow: *gcWindow,
+			DataDir:           *dataDir,
+			OnEvent:           onEvent,
+		})
+		if err != nil {
+			if res.DataDir != "" {
+				fmt.Printf("conform: data dir kept at %s\n", res.DataDir)
+			}
+			return err
+		}
+		fmt.Printf("conform: killed at event %d (checkpoint after %d), recovery %v\n",
+			res.Cut, res.CheckpointAt, res.RecoveryDuration)
+		fmt.Printf("%s  (%.1fs)\n", res.Result, time.Since(start).Seconds())
+		if res.OK() {
+			return nil
+		}
+		fmt.Printf("conform: data dir kept at %s for inspection (stratrec recover -data-dir ...)\n", res.DataDir)
+		return fmt.Errorf("conform: %d oracle divergences", len(res.Divergences))
+	}
+
+	cfg := conformance.RunConfig{
+		Parallelism:      *adparPar,
+		BranchBoundLimit: *bbLimit,
+		ViaBatch:         *viaBatch,
+		OnEvent:          onEvent,
+	}
 	res, err := conformance.Run(tr, cfg)
 	if err != nil {
 		return err
@@ -167,106 +197,13 @@ func runConform(args []string) error {
 	return fmt.Errorf("conform: %d oracle divergences", len(res.Divergences))
 }
 
-// crashArgs carries the crash-recovery profile's knobs.
-type crashArgs struct {
-	seed                        int64
-	events, tenants, strategies int
-	k, bbLimit, adparPar        int
-	cut                         int
-	dataDir, outPath            string
-	tornTail, quiet, viaBatch   bool
-	gcWindow                    time.Duration
-}
-
-// runConformCrash runs the kill/restart differential oracle: generate a
-// steady trace, kill the durable server mid-trace, recover from disk,
-// diff, finish the trace.
-func runConformCrash(a crashArgs) error {
-	if a.strategies > adpar.BruteForceLimit {
-		return fmt.Errorf("conform: -strategies %d exceeds the brute-force oracle bound %d", a.strategies, adpar.BruteForceLimit)
-	}
-	tr, err := conformance.Generate(conformance.GenConfig{
-		Seed:       a.seed,
-		Events:     a.events,
-		Tenants:    a.tenants,
-		Strategies: a.strategies,
-		K:          a.k,
-		Profile:    conformance.Steady,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("conform: crash-recovery, seed %d, %d tenants x %d strategies, %d events\n",
-		a.seed, len(tr.Tenants), a.strategies, len(tr.Events))
-	if a.outPath != "" {
-		if err := writeTraceFile(a.outPath, tr); err != nil {
-			return err
-		}
-	}
-
-	cfg := conformance.CrashConfig{
-		Parallelism:       a.adparPar,
-		BranchBoundLimit:  a.bbLimit,
-		Cut:               a.cut,
-		CheckpointAt:      -1,
-		TornTail:          a.tornTail,
-		ViaBatch:          a.viaBatch,
-		GroupCommitWindow: a.gcWindow,
-		DataDir:           a.dataDir,
-	}
-	if !a.quiet {
-		every := len(tr.Events) / 10
-		if every > 0 {
-			cfg.OnEvent = func(i int, _ conformance.Event) {
-				if i%every == 0 && i > 0 {
-					fmt.Printf("conform: %d/%d events\n", i, len(tr.Events))
-				}
-			}
-		}
-	}
-
-	start := time.Now()
-	res, err := conformance.RunCrash(tr, cfg)
-	if err != nil {
-		fmt.Printf("conform: data dir kept at %s\n", res.DataDir)
-		return err
-	}
-	fmt.Printf("conform: killed at event %d (checkpoint after %d), recovery %v\n",
-		res.Cut, res.CheckpointAt, res.RecoveryDuration)
-	fmt.Printf("%s  (%.1fs)\n", res.Result, time.Since(start).Seconds())
-	if res.OK() {
-		return nil
-	}
-	fmt.Printf("conform: data dir kept at %s for inspection (stratrec recover -data-dir ...)\n", res.DataDir)
-	return fmt.Errorf("conform: %d oracle divergences", len(res.Divergences))
-}
-
-// overloadArgs carries the overload-profile knobs.
-type overloadArgs struct {
-	seed                     int64
-	strategies, workers, ops int
-	opBuffer, deadlineMs     int
-	dataDir, artifact        string
-	gcWindow                 time.Duration
-}
-
 // runConformOverload runs the chaos shed-accounting oracle for one
 // overload profile and writes the accounting ledger as the failure
 // artifact.
-func runConformOverload(profile conformance.OverloadProfile, a overloadArgs) error {
-	fmt.Printf("conform: overload profile %s, seed %d\n", profile, a.seed)
+func runConformOverload(cfg conformance.OverloadConfig, artifact string) error {
+	fmt.Printf("conform: overload profile %s, seed %d\n", cfg.Profile, cfg.Seed)
 	start := time.Now()
-	res, err := conformance.RunOverload(conformance.OverloadConfig{
-		Profile:           profile,
-		Seed:              a.seed,
-		Strategies:        a.strategies,
-		Workers:           a.workers,
-		OpsPerWorker:      a.ops,
-		OpBuffer:          a.opBuffer,
-		DeadlineMs:        a.deadlineMs,
-		GroupCommitWindow: a.gcWindow,
-		DataDir:           a.dataDir,
-	})
+	res, err := conformance.RunOverload(cfg)
 	if err != nil {
 		if res.DataDir != "" {
 			fmt.Printf("conform: data dir kept at %s\n", res.DataDir)
@@ -277,10 +214,10 @@ func runConformOverload(profile conformance.OverloadProfile, a overloadArgs) err
 	if res.OK() {
 		return nil
 	}
-	if err := res.WriteArtifact(a.artifact); err != nil {
+	if err := res.WriteArtifact(artifact); err != nil {
 		return fmt.Errorf("writing shed-accounting artifact: %w", err)
 	}
-	fmt.Printf("conform: shed-accounting ledger written to %s\n", a.artifact)
+	fmt.Printf("conform: shed-accounting ledger written to %s\n", artifact)
 	fmt.Printf("conform: data dir kept at %s for inspection\n", res.DataDir)
 	return fmt.Errorf("conform: %d shed-accounting violations", len(res.Violations))
 }

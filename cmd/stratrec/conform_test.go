@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -45,6 +46,47 @@ func TestConformProfilesAndReplay(t *testing.T) {
 	}
 	if !strings.Contains(out, "replaying") || !strings.Contains(out, "0 divergences") {
 		t.Errorf("replay output unexpected:\n%s", out)
+	}
+}
+
+// TestConformCrashRecoveryReplay: crash-recovery replays a trace
+// artifact written with -out instead of generating a fresh trace, and
+// kills at the same event, since the kill point derives from the trace's
+// seed.
+func TestConformCrashRecoveryReplay(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	out, err := capture(t, func() error {
+		return runConform([]string{
+			"-profile", "crash-recovery", "-seed", "3", "-events", "400",
+			"-out", trace, "-quiet",
+		})
+	})
+	if err != nil {
+		t.Fatalf("conform crash-recovery -out: %v\n%s", err, out)
+	}
+	killedAt := regexp.MustCompile(`killed at event \d+ \(checkpoint after -?\d+\)`)
+	want := killedAt.FindString(out)
+	if want == "" {
+		t.Fatalf("no kill report:\n%s", out)
+	}
+
+	out, err = capture(t, func() error {
+		return runConform([]string{
+			"-profile", "crash-recovery", "-replay", trace,
+			"-data-dir", filepath.Join(dir, "data"), "-quiet",
+		})
+	})
+	if err != nil {
+		t.Fatalf("conform crash-recovery -replay: %v\n%s", err, out)
+	}
+	if got := killedAt.FindString(out); got != want {
+		t.Errorf("replay reported %q, the generating run %q", got, want)
+	}
+	for _, want := range []string{"replaying " + trace, "conformance: 400 events", "0 divergences"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("replay output missing %q:\n%s", want, out)
+		}
 	}
 }
 

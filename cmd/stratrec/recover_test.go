@@ -20,7 +20,7 @@ func TestConformCrashRecoveryProfile(t *testing.T) {
 		return runConform([]string{
 			"-profile", "crash-recovery",
 			"-seed", "1", "-events", "400", "-quiet",
-			"-crash-data-dir", dir,
+			"-data-dir", dir,
 		})
 	})
 	if err != nil {

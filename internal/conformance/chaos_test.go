@@ -33,14 +33,9 @@ func chaosServer(t *testing.T, onApply func(server.AppliedOp)) (*server.Server, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Tenants[spec.Name] = server.TenantConfig{
-			Set:       m.set,
-			Models:    m.models,
-			Mode:      m.mode,
-			Objective: m.objective,
-			InitialW:  spec.InitialW,
-			OnApply:   onApply,
-		}
+		tc := m.tenantConfig()
+		tc.OnApply = onApply
+		cfg.Tenants[spec.Name] = tc
 	}
 	s, err := server.New(cfg)
 	if err != nil {

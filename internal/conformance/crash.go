@@ -4,17 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"stratrec/internal/server"
 	"stratrec/internal/wal"
 )
 
@@ -46,10 +46,10 @@ type CrashConfig struct {
 	// mutation fsynced before its reply — holds at any window.
 	GroupCommitWindow time.Duration
 	// DataDir is the durability root; empty uses a fresh temp dir that is
-	// removed after a divergence-free run and kept when divergences were
-	// found. An explicit DataDir must be empty beforehand and is always
-	// left in place (CrashResult.DataDir names it either way), so CI can
-	// upload it as an artifact with `if: failure()`.
+	// removed after a divergence-free run and kept when the run diverged
+	// or errored. An explicit DataDir must be empty or absent beforehand
+	// and is always left in place (CrashResult.DataDir names it either
+	// way), so CI can upload it as an artifact with `if: failure()`.
 	DataDir string
 	// OnEvent, when non-nil, is called before each event replays (both
 	// phases, original trace indices).
@@ -85,14 +85,15 @@ type CrashResult struct {
 // have left, and TornTail adds the one artifact a mid-append kill can
 // produce.
 func RunCrash(tr Trace, cfg CrashConfig) (CrashResult, error) {
-	if tr.Version != FormatVersion {
-		return CrashResult{}, fmt.Errorf("conformance: trace version %d, this build replays %d", tr.Version, FormatVersion)
-	}
-	rcfg := RunConfig{
+	s, err := newSession(tr, RunConfig{
 		Parallelism:      cfg.Parallelism,
 		BranchBoundLimit: cfg.BranchBoundLimit,
 		ViaBatch:         cfg.ViaBatch,
-	}.withDefaults()
+		OnEvent:          cfg.OnEvent,
+	})
+	if err != nil {
+		return CrashResult{}, err
+	}
 
 	cut := cfg.Cut
 	if cut < 0 {
@@ -113,151 +114,80 @@ func RunCrash(tr Trace, cfg CrashConfig) (CrashResult, error) {
 	if ckptAt >= cut {
 		ckptAt = -1
 	}
+	res := CrashResult{Result: s.res, Cut: cut, CheckpointAt: ckptAt}
 
-	res := CrashResult{Cut: cut, CheckpointAt: ckptAt}
-	res.Events = len(tr.Events)
+	srvCfg := s.serverConfig()
+	// The commit scheduler fsyncs every acknowledged mutation before its
+	// reply, at any window: the durability contract under which an
+	// abrupt close equals a kill.
+	srvCfg.WALGroupCommitWindow = cfg.GroupCommitWindow
+	n, err := newNode(srvCfg, cfg.DataDir, true)
+	if err != nil {
+		return res, err
+	}
+	res.DataDir = n.root
+	err = s.crashPhases(n, &res, cfg.TornTail)
+	res.Result = s.res
+	n.finish(err != nil || !res.OK())
+	return res, err
+}
 
-	dataDir := cfg.DataDir
-	if dataDir == "" {
-		tmp, err := os.MkdirTemp("", "stratrec-crash-*")
-		if err != nil {
-			return res, err
-		}
-		dataDir = tmp
-	}
-	res.DataDir = dataDir
-	if cfg.DataDir != "" {
-		if entries, err := os.ReadDir(dataDir); err == nil && len(entries) > 0 {
-			// Phase 1 must start from nothing: leftover tenant state would
-			// be recovered into the pre-kill server and every oracle
-			// expectation would be off by a whole previous run.
-			return res, fmt.Errorf("conformance: crash data dir %s is not empty", dataDir)
-		}
-	}
-	keep := false
-	defer func() {
-		if !keep && cfg.DataDir == "" {
-			os.RemoveAll(dataDir)
-		}
-	}()
-
-	models := make(map[string]*tenantModel, len(tr.Tenants))
-	srvCfg := server.Config{
-		Tenants: map[string]server.TenantConfig{},
-		Now:     func() time.Time { return time.Unix(1700000000, 0) },
-		DataDir: dataDir,
-		// The commit scheduler fsyncs every acknowledged mutation before
-		// its reply, at any window: the durability contract under which
-		// an abrupt close equals a kill.
-		WALGroupCommitWindow: cfg.GroupCommitWindow,
-	}
-	for _, spec := range tr.Tenants {
-		if _, dup := models[spec.Name]; dup {
-			return res, fmt.Errorf("conformance: duplicate tenant %q", spec.Name)
-		}
-		m, err := newTenantModel(spec)
-		if err != nil {
-			return res, err
-		}
-		models[spec.Name] = m
-		srvCfg.Tenants[spec.Name] = server.TenantConfig{
-			Set:         m.set,
-			Models:      m.models,
-			Mode:        m.mode,
-			Objective:   m.objective,
-			InitialW:    spec.InitialW,
-			Parallelism: cfg.Parallelism,
-		}
-	}
-
-	diverge := func(i int, ev Event, field, want, got string) bool {
-		res.Divergences = append(res.Divergences, Divergence{
-			Index: i, Event: ev, Field: field, Want: want, Got: got,
-		})
-		return len(res.Divergences) >= rcfg.MaxDivergences
-	}
-
+// crashPhases runs RunCrash's phases on n: live traffic to the kill
+// point, the kill, recovery, the recovered-state diff and the
+// continuation.
+func (s *session) crashPhases(n *node, res *CrashResult, tornTail bool) error {
 	// --- Phase 1: live traffic up to the kill point, with the mid-run
-	// checkpoint fired after event ckptAt so recovery exercises
+	// checkpoint fired after event CheckpointAt so recovery exercises
 	// checkpoint + tail, not just a pure tail replay ---
-	s1, err := server.New(srvCfg)
-	if err != nil {
-		return res, err
+	if _, err := n.start(); err != nil {
+		return err
 	}
-	hs1 := httptest.NewServer(s1.Handler())
-	drv1 := newDriver(hs1, cfg.ViaBatch)
-	phase1 := func() (bool, error) {
-		if ckptAt < 0 {
-			return replayRange(drv1, tr, 0, cut, models, rcfg, cfg.OnEvent, &res.Result, diverge)
-		}
-		stopped, err := replayRange(drv1, tr, 0, ckptAt+1, models, rcfg, cfg.OnEvent, &res.Result, diverge)
-		if stopped || err != nil {
-			return stopped, err
-		}
-		if err := postCheckpoint(drv1); err != nil {
-			return false, err
-		}
-		return replayRange(drv1, tr, ckptAt+1, cut, models, rcfg, cfg.OnEvent, &res.Result, diverge)
+	d := newDriver(n.hs, s.cfg.ViaBatch)
+	mid := res.Cut
+	if res.CheckpointAt >= 0 {
+		mid = res.CheckpointAt + 1
 	}
-	stopped, err := phase1()
-	hs1.Close()
-	s1.Close() // the kill: loops stop, WAL closes with only-acked bytes
-	if err != nil {
-		keep = true
-		return res, err
+	stopped, err := s.replay(d, 0, mid)
+	if err == nil && !stopped && res.CheckpointAt >= 0 {
+		if err = postCheckpoint(d); err == nil {
+			stopped, err = s.replay(d, mid, res.Cut)
+		}
 	}
-	if stopped {
-		keep = true
-		return res, nil
+	n.kill()
+	if err != nil || stopped {
+		return err
 	}
 
 	var torn int
-	if cfg.TornTail {
-		if torn, err = injectTornTails(dataDir); err != nil {
-			keep = true
-			return res, err
+	if tornTail {
+		if torn, err = injectTornTails(n.root); err != nil {
+			return err
 		}
 	}
 
 	// --- Restart: recovery from checkpoint + tail inside server.New,
 	// before the tenant event loops start ---
-	start := time.Now() //lint:allow clockdiscipline -- RecoveryDuration reports real restart latency to the operator
-	s2, err := server.New(srvCfg)
-	res.RecoveryDuration = time.Since(start) //lint:allow clockdiscipline -- RecoveryDuration reports real restart latency to the operator
-	if err != nil {
-		keep = true
-		return res, fmt.Errorf("conformance: recovery failed: %w", err)
+	if res.RecoveryDuration, err = n.start(); err != nil {
+		return fmt.Errorf("conformance: recovery failed: %w", err)
 	}
-	hs2 := httptest.NewServer(s2.Handler())
-	drv2 := newDriver(hs2, cfg.ViaBatch)
-	defer func() {
-		hs2.Close()
-		s2.Close()
-	}()
+	d = newDriver(n.hs, s.cfg.ViaBatch)
 
 	// --- Recovered-state diff: every tenant's plan snapshot against the
 	// oracle's naive replay of everything that happened before the kill,
 	// field by field ---
-	names := make([]string, 0, len(models))
-	for name := range models {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(s.models))
 	for _, name := range names {
-		m := models[name]
+		m := s.models[name]
 		ev := Event{Tenant: name, Kind: KindPlan}
-		obs, err := drv2.call(ev)
+		obs, err := d.call(ev)
 		if err != nil {
-			keep = true
-			return res, fmt.Errorf("conformance: reading recovered plan of %s: %w", name, err)
+			return fmt.Errorf("conformance: reading recovered plan of %s: %w", name, err)
 		}
-		exp := m.expectPlan()
-		if compare(cut, ev, m, rcfg, exp, obs, &res.Result, diverge) {
-			keep = true
-			return res, nil
+		if s.compare(res.Cut, ev, m, m.expectPlan(), obs) {
+			return nil
 		}
 	}
-	if cfg.TornTail {
+	if tornTail {
 		// Recovery must have truncated exactly the injected bytes.
 		var m struct {
 			Tenants map[string]struct {
@@ -267,79 +197,26 @@ func RunCrash(tr Trace, cfg CrashConfig) (CrashResult, error) {
 			} `json:"tenants"`
 		}
 		metrics := httptest.NewRecorder()
-		s2.Handler().ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		n.srv.Handler().ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 		if err := json.Unmarshal(metrics.Body.Bytes(), &m); err != nil {
-			keep = true
-			return res, fmt.Errorf("conformance: decoding recovered metrics: %w", err)
+			return fmt.Errorf("conformance: decoding recovered metrics: %w", err)
 		}
 		for _, name := range names {
-			res.Checks++
+			s.res.Checks++
 			if got := m.Tenants[name].WAL.TornBytes; got != torn &&
-				diverge(cut, Event{Tenant: name, Kind: KindPlan}, "wal.torn_bytes_truncated", strconv.Itoa(torn), strconv.Itoa(got)) {
-				keep = true
-				return res, nil
+				s.diverge(res.Cut, Event{Tenant: name, Kind: KindPlan}, "wal.torn_bytes_truncated", strconv.Itoa(torn), strconv.Itoa(got)) {
+				return nil
 			}
 		}
 	}
 
 	// --- Phase 2: the rest of the trace against the recovered server,
 	// full oracle layer ---
-	stopped, err = replayRange(drv2, tr, cut, len(tr.Events), models, rcfg, cfg.OnEvent, &res.Result, diverge)
-	if err != nil {
-		keep = true
-		return res, err
+	if stopped, err = s.replay(d, res.Cut, len(s.tr.Events)); err != nil || stopped {
+		return err
 	}
-	if !stopped && len(res.Divergences) < rcfg.MaxDivergences {
-		checkListing(drv2, tr, models, &res.Result, diverge)
-	}
-	if len(res.Divergences) > 0 {
-		keep = true
-	}
-	return res, nil
-}
-
-// replayRange replays tr.Events[from:to] against a live server, applying
-// each event to the oracle models and comparing, exactly as Run does. It
-// fires the mid-run checkpoint when the range crosses CheckpointAt (the
-// caller encodes that by the from/to bounds — see RunCrash). Returns true
-// when the divergence budget stopped the replay.
-func replayRange(d *driver, tr Trace, from, to int, models map[string]*tenantModel, rcfg RunConfig, onEvent func(int, Event), out *Result, diverge func(int, Event, string, string, string) bool) (stopped bool, err error) {
-	for i := from; i < to; i++ {
-		ev := tr.Events[i]
-		if onEvent != nil {
-			onEvent(i, ev)
-		}
-		m, ok := models[ev.Tenant]
-		if !ok {
-			return false, fmt.Errorf("conformance: event %d targets unknown tenant %q", i, ev.Tenant)
-		}
-		obs, err := d.call(ev)
-		if err != nil {
-			return false, fmt.Errorf("conformance: event %d (%s %s): %w", i, ev.Kind, ev.ID, err)
-		}
-		var exp expectation
-		switch ev.Kind {
-		case KindSubmit:
-			exp = m.applySubmit(ev)
-		case KindRevoke:
-			exp = m.applyRevoke(ev)
-		case KindDrift:
-			exp = m.applyDrift(ev)
-		case KindPlan:
-			exp = m.expectPlan()
-		case KindAlternative:
-			exp, err = m.expectAlternative(ev)
-			if err != nil {
-				return false, fmt.Errorf("conformance: event %d: oracle: %w", i, err)
-			}
-		default:
-			return false, fmt.Errorf("conformance: event %d has unknown kind %q", i, ev.Kind)
-		}
-		if compare(i, ev, m, rcfg, exp, obs, out, diverge) {
-			return true, nil
-		}
-	}
-	return false, nil
+	s.checkListing(d)
+	return nil
 }
 
 // postCheckpoint fires POST /v1/admin/checkpoint and requires success.

@@ -113,83 +113,131 @@ func (r Result) String() string {
 // only after the tenant event loop has published the mutation's snapshot,
 // and the ADPaR sweep is deterministic at any parallelism.
 func Run(tr Trace, cfg RunConfig) (Result, error) {
-	cfg = cfg.withDefaults()
-	if tr.Version != FormatVersion {
-		return Result{}, fmt.Errorf("conformance: trace version %d, this build replays %d", tr.Version, FormatVersion)
+	s, err := newSession(tr, cfg)
+	if err != nil {
+		return Result{}, err
 	}
-
-	// The oracle models, one per tenant.
-	models := make(map[string]*tenantModel, len(tr.Tenants))
 	// Applied-op counts observed through the deterministic step callback;
 	// the loop goroutine writes, and the reply delivered to the blocked
 	// caller orders that write before the harness's next read.
-	applied := make(map[string]*int, len(tr.Tenants))
+	srvCfg := s.serverConfig()
+	applied := make(map[string]*int, len(srvCfg.Tenants))
+	for name, tc := range srvCfg.Tenants {
+		count := new(int)
+		applied[name] = count
+		tc.OnApply = func(server.AppliedOp) { *count++ }
+		srvCfg.Tenants[name] = tc
+	}
+	n, err := newNode(srvCfg, "", false)
+	if err != nil {
+		return Result{}, err
+	}
+	defer n.finish(false)
+	if _, err := n.start(); err != nil {
+		return Result{}, err
+	}
+	d := newDriver(n.hs, s.cfg.ViaBatch)
+	if _, err := s.replay(d, 0, len(tr.Events)); err != nil {
+		return s.res, err
+	}
 
-	srvCfg := server.Config{
-		Tenants: map[string]server.TenantConfig{},
+	// Final cross-checks: the tenant listing agrees with every model, and
+	// the step callback saw exactly the mutations we issued.
+	s.checkListing(d)
+	for name, want := range s.applied {
+		s.res.Checks++
+		if got := *applied[name]; got != want {
+			s.diverge(len(tr.Events), Event{Tenant: name, Kind: "on-apply"},
+				"applied-op count", strconv.Itoa(want), strconv.Itoa(got))
+		}
+	}
+	return s.res, nil
+}
+
+// session is one differential replay of a trace: the oracle models, the
+// divergence budget and the result they fill, across however many
+// server incarnations the replay spans.
+type session struct {
+	tr     Trace
+	cfg    RunConfig
+	models map[string]*tenantModel // one per tenant
+	// applied counts, per tenant, the replayed mutations that must reach
+	// its event loop.
+	applied map[string]int
+	res     Result
+}
+
+// newSession checks the trace and builds one oracle model per tenant.
+func newSession(tr Trace, cfg RunConfig) (*session, error) {
+	if tr.Version != FormatVersion {
+		return nil, fmt.Errorf("conformance: trace version %d, this build replays %d", tr.Version, FormatVersion)
+	}
+	s := &session{
+		tr:      tr,
+		cfg:     cfg.withDefaults(),
+		models:  make(map[string]*tenantModel, len(tr.Tenants)),
+		applied: map[string]int{},
+		res:     Result{Events: len(tr.Events)},
+	}
+	for _, spec := range tr.Tenants {
+		if _, dup := s.models[spec.Name]; dup {
+			return nil, fmt.Errorf("conformance: duplicate tenant %q", spec.Name)
+		}
+		m, err := newTenantModel(spec)
+		if err != nil {
+			return nil, err
+		}
+		s.models[spec.Name] = m
+	}
+	return s, nil
+}
+
+// serverConfig hosts every modelled tenant.
+func (s *session) serverConfig() server.Config {
+	cfg := server.Config{
+		Tenants: make(map[string]server.TenantConfig, len(s.models)),
 		// Fixed injectable clock: time-derived observables (uptime) stay
 		// constant across runs of the same trace.
 		Now: func() time.Time { return time.Unix(1700000000, 0) },
 	}
-	for _, spec := range tr.Tenants {
-		if _, dup := models[spec.Name]; dup {
-			return Result{}, fmt.Errorf("conformance: duplicate tenant %q", spec.Name)
-		}
-		m, err := newTenantModel(spec)
-		if err != nil {
-			return Result{}, err
-		}
-		models[spec.Name] = m
-		n := new(int)
-		applied[spec.Name] = n
-		srvCfg.Tenants[spec.Name] = server.TenantConfig{
-			Set:         m.set,
-			Models:      m.models,
-			Mode:        m.mode,
-			Objective:   m.objective,
-			InitialW:    spec.InitialW,
-			Parallelism: cfg.Parallelism,
-			OnApply:     func(server.AppliedOp) { *n++ },
-		}
+	for name, m := range s.models {
+		tc := m.tenantConfig()
+		tc.Parallelism = s.cfg.Parallelism
+		cfg.Tenants[name] = tc
 	}
+	return cfg
+}
 
-	s, err := server.New(srvCfg)
-	if err != nil {
-		return Result{}, err
-	}
-	hs := httptest.NewServer(s.Handler())
-	defer func() {
-		hs.Close()
-		s.Close()
-	}()
-	drv := newDriver(hs, cfg.ViaBatch)
+// diverge records one divergence and reports whether the budget is spent.
+func (s *session) diverge(i int, ev Event, field, want, got string) bool {
+	s.res.Divergences = append(s.res.Divergences, Divergence{
+		Index: i, Event: ev, Field: field, Want: want, Got: got,
+	})
+	return len(s.res.Divergences) >= s.cfg.MaxDivergences
+}
 
-	res := Result{Events: len(tr.Events)}
-	wantApplied := map[string]int{}
-	diverge := func(i int, ev Event, field, want, got string) bool {
-		res.Divergences = append(res.Divergences, Divergence{
-			Index: i, Event: ev, Field: field, Want: want, Got: got,
-		})
-		return len(res.Divergences) >= cfg.MaxDivergences
-	}
-
-	for i, ev := range tr.Events {
-		if cfg.OnEvent != nil {
-			cfg.OnEvent(i, ev)
+// replay sends tr.Events[from:to] to a live server, applies each event
+// to the oracle models and compares. It returns true when the divergence
+// budget stopped the replay.
+func (s *session) replay(d *driver, from, to int) (stopped bool, err error) {
+	for i := from; i < to; i++ {
+		ev := s.tr.Events[i]
+		if s.cfg.OnEvent != nil {
+			s.cfg.OnEvent(i, ev)
 		}
-		m, ok := models[ev.Tenant]
+		m, ok := s.models[ev.Tenant]
 		if !ok {
-			return res, fmt.Errorf("conformance: event %d targets unknown tenant %q", i, ev.Tenant)
+			return false, fmt.Errorf("conformance: event %d targets unknown tenant %q", i, ev.Tenant)
 		}
-		obs, err := drv.call(ev)
+		obs, err := d.call(ev)
 		if err != nil {
-			return res, fmt.Errorf("conformance: event %d (%s %s): %w", i, ev.Kind, ev.ID, err)
+			return false, fmt.Errorf("conformance: event %d (%s %s): %w", i, ev.Kind, ev.ID, err)
 		}
 		if ev.Kind.Mutates() && !handlerRejects(ev) {
-			wantApplied[ev.Tenant]++
+			s.applied[ev.Tenant]++
 		}
-		if cfg.Fault != nil {
-			cfg.Fault(ev, obs)
+		if s.cfg.Fault != nil {
+			s.cfg.Fault(ev, obs)
 		}
 
 		var exp expectation
@@ -205,31 +253,16 @@ func Run(tr Trace, cfg RunConfig) (Result, error) {
 		case KindAlternative:
 			exp, err = m.expectAlternative(ev)
 			if err != nil {
-				return res, fmt.Errorf("conformance: event %d: oracle: %w", i, err)
+				return false, fmt.Errorf("conformance: event %d: oracle: %w", i, err)
 			}
 		default:
-			return res, fmt.Errorf("conformance: event %d has unknown kind %q", i, ev.Kind)
+			return false, fmt.Errorf("conformance: event %d has unknown kind %q", i, ev.Kind)
 		}
-
-		stop := compare(i, ev, m, cfg, exp, obs, &res, diverge)
-		if stop {
-			break
+		if s.compare(i, ev, m, exp, obs) {
+			return true, nil
 		}
 	}
-
-	// Final cross-checks: the tenant listing agrees with every model, and
-	// the step callback saw exactly the mutations we issued.
-	if len(res.Divergences) < cfg.MaxDivergences {
-		checkListing(drv, tr, models, &res, diverge)
-	}
-	for name, want := range wantApplied {
-		res.Checks++
-		if got := *applied[name]; got != want {
-			diverge(len(tr.Events), Event{Tenant: name, Kind: "on-apply"},
-				"applied-op count", strconv.Itoa(want), strconv.Itoa(got))
-		}
-	}
-	return res, nil
+	return false, nil
 }
 
 // handlerRejects reports whether the HTTP handler rejects the mutation
@@ -352,10 +385,10 @@ func observeError(err error) (*Observed, error) {
 // compare checks one observed response against the oracle expectation,
 // recording divergences. It returns true when the divergence budget is
 // exhausted.
-func compare(i int, ev Event, m *tenantModel, cfg RunConfig, exp expectation, obs *Observed, res *Result, diverge func(int, Event, string, string, string) bool) bool {
-	res.Checks++
+func (s *session) compare(i int, ev Event, m *tenantModel, exp expectation, obs *Observed) bool {
+	s.res.Checks++
 	if obs.Status != exp.status {
-		return diverge(i, ev, "status", strconv.Itoa(exp.status), strconv.Itoa(obs.Status))
+		return s.diverge(i, ev, "status", strconv.Itoa(exp.status), strconv.Itoa(obs.Status))
 	}
 	if exp.status != http.StatusOK {
 		return false // expected-error path confirmed; no body to compare
@@ -363,38 +396,38 @@ func compare(i int, ev Event, m *tenantModel, cfg RunConfig, exp expectation, ob
 
 	switch ev.Kind {
 	case KindSubmit:
-		res.Checks++
+		s.res.Checks++
 		if obs.Submit == nil {
-			return diverge(i, ev, "submit body", "present", "missing")
+			return s.diverge(i, ev, "submit body", "present", "missing")
 		}
 		if obs.Submit.Served != exp.served {
-			if diverge(i, ev, "served", strconv.FormatBool(exp.served), strconv.FormatBool(obs.Submit.Served)) {
+			if s.diverge(i, ev, "served", strconv.FormatBool(exp.served), strconv.FormatBool(obs.Submit.Served)) {
 				return true
 			}
 		}
 		if obs.Submit.Epoch != exp.epoch {
-			return diverge(i, ev, "epoch", strconv.FormatUint(exp.epoch, 10), strconv.FormatUint(obs.Submit.Epoch, 10))
+			return s.diverge(i, ev, "epoch", strconv.FormatUint(exp.epoch, 10), strconv.FormatUint(obs.Submit.Epoch, 10))
 		}
 	case KindRevoke, KindDrift:
-		res.Checks++
+		s.res.Checks++
 		if obs.Epoch == nil {
-			return diverge(i, ev, "epoch body", "present", "missing")
+			return s.diverge(i, ev, "epoch body", "present", "missing")
 		}
 		if obs.Epoch.Epoch != exp.epoch {
-			return diverge(i, ev, "epoch", strconv.FormatUint(exp.epoch, 10), strconv.FormatUint(obs.Epoch.Epoch, 10))
+			return s.diverge(i, ev, "epoch", strconv.FormatUint(exp.epoch, 10), strconv.FormatUint(obs.Epoch.Epoch, 10))
 		}
 	case KindPlan:
 		if obs.Plan == nil {
-			return diverge(i, ev, "plan body", "present", "missing")
+			return s.diverge(i, ev, "plan body", "present", "missing")
 		}
-		if stop := comparePlan(i, ev, m, cfg, exp.plan, obs.Plan, res, diverge); stop {
+		if stop := s.comparePlan(i, ev, m, exp.plan, obs.Plan); stop {
 			return true
 		}
 	case KindAlternative:
 		if obs.Alternative == nil {
-			return diverge(i, ev, "alternative body", "present", "missing")
+			return s.diverge(i, ev, "alternative body", "present", "missing")
 		}
-		if stop := compareAlternative(i, ev, m, exp.alt, obs.Alternative, res, diverge); stop {
+		if stop := s.compareAlternative(i, ev, m, exp.alt, obs.Alternative); stop {
 			return true
 		}
 	}
@@ -404,72 +437,72 @@ func compare(i int, ev Event, m *tenantModel, cfg RunConfig, exp expectation, ob
 // comparePlan is the naive-replay layer: full structural equality of the
 // plan snapshot, then the branch-and-bound optimality layer on the
 // achieved objective.
-func comparePlan(i int, ev Event, m *tenantModel, cfg RunConfig, want *planExpect, got *server.PlanResponse, res *Result, diverge func(int, Event, string, string, string) bool) bool {
-	res.Checks++
+func (s *session) comparePlan(i int, ev Event, m *tenantModel, want *planExpect, got *server.PlanResponse) bool {
+	s.res.Checks++
 	if got.Epoch != want.epoch {
-		if diverge(i, ev, "plan epoch", strconv.FormatUint(want.epoch, 10), strconv.FormatUint(got.Epoch, 10)) {
+		if s.diverge(i, ev, "plan epoch", strconv.FormatUint(want.epoch, 10), strconv.FormatUint(got.Epoch, 10)) {
 			return true
 		}
 	}
 	if !closeEnough(got.Availability, want.availability) {
-		if diverge(i, ev, "availability", formatFloat(want.availability), formatFloat(got.Availability)) {
+		if s.diverge(i, ev, "availability", formatFloat(want.availability), formatFloat(got.Availability)) {
 			return true
 		}
 	}
 	if !closeEnough(got.Objective, want.objective) {
-		if diverge(i, ev, "objective", formatFloat(want.objective), formatFloat(got.Objective)) {
+		if s.diverge(i, ev, "objective", formatFloat(want.objective), formatFloat(got.Objective)) {
 			return true
 		}
 	}
 	if !closeEnough(got.Workforce, want.workforce) {
-		if diverge(i, ev, "plan workforce", formatFloat(want.workforce), formatFloat(got.Workforce)) {
+		if s.diverge(i, ev, "plan workforce", formatFloat(want.workforce), formatFloat(got.Workforce)) {
 			return true
 		}
 	}
 	if !slices.Equal(got.Serving, want.serving) {
-		if diverge(i, ev, "serving set", fmt.Sprint(want.serving), fmt.Sprint(got.Serving)) {
+		if s.diverge(i, ev, "serving set", fmt.Sprint(want.serving), fmt.Sprint(got.Serving)) {
 			return true
 		}
 	}
 	if !slices.Equal(got.Displaced, want.displaced) {
-		if diverge(i, ev, "displaced set", fmt.Sprint(want.displaced), fmt.Sprint(got.Displaced)) {
+		if s.diverge(i, ev, "displaced set", fmt.Sprint(want.displaced), fmt.Sprint(got.Displaced)) {
 			return true
 		}
 	}
 	if len(got.Requests) != len(want.requests) {
-		return diverge(i, ev, "open request count", strconv.Itoa(len(want.requests)), strconv.Itoa(len(got.Requests)))
+		return s.diverge(i, ev, "open request count", strconv.Itoa(len(want.requests)), strconv.Itoa(len(got.Requests)))
 	}
 	for j, wr := range want.requests {
 		gr := got.Requests[j]
 		field := "request " + wr.id + " "
 		switch {
 		case gr.ID != wr.id:
-			return diverge(i, ev, field+"id", wr.id, gr.ID)
+			return s.diverge(i, ev, field+"id", wr.id, gr.ID)
 		case gr.Serving != wr.serving:
-			return diverge(i, ev, field+"serving", strconv.FormatBool(wr.serving), strconv.FormatBool(gr.Serving))
+			return s.diverge(i, ev, field+"serving", strconv.FormatBool(wr.serving), strconv.FormatBool(gr.Serving))
 		case gr.Feasible != wr.feasible:
-			return diverge(i, ev, field+"feasible", strconv.FormatBool(wr.feasible), strconv.FormatBool(gr.Feasible))
+			return s.diverge(i, ev, field+"feasible", strconv.FormatBool(wr.feasible), strconv.FormatBool(gr.Feasible))
 		case gr.K != wr.request.K:
-			return diverge(i, ev, field+"k", strconv.Itoa(wr.request.K), strconv.Itoa(gr.K))
+			return s.diverge(i, ev, field+"k", strconv.Itoa(wr.request.K), strconv.Itoa(gr.K))
 		}
 		wantWF := wr.feasible && !math.IsInf(wr.workforce, 1)
 		if wantWF != (gr.Workforce != nil) {
-			return diverge(i, ev, field+"workforce presence", strconv.FormatBool(wantWF), strconv.FormatBool(gr.Workforce != nil))
+			return s.diverge(i, ev, field+"workforce presence", strconv.FormatBool(wantWF), strconv.FormatBool(gr.Workforce != nil))
 		}
 		if wantWF && !closeEnough(*gr.Workforce, wr.workforce) {
-			return diverge(i, ev, field+"workforce", formatFloat(wr.workforce), formatFloat(*gr.Workforce))
+			return s.diverge(i, ev, field+"workforce", formatFloat(wr.workforce), formatFloat(*gr.Workforce))
 		}
 		if wr.serving && !slices.Equal(gr.Strategies, wr.strategies) {
-			return diverge(i, ev, field+"strategies", fmt.Sprint(wr.strategies), fmt.Sprint(gr.Strategies))
+			return s.diverge(i, ev, field+"strategies", fmt.Sprint(wr.strategies), fmt.Sprint(gr.Strategies))
 		}
 	}
 
 	// Branch-and-bound layer: the live plan's objective obeys the paper's
 	// guarantee relative to the exact composite optimum.
-	if cfg.BranchBoundLimit >= 0 && len(m.lastItems) <= cfg.BranchBoundLimit {
-		res.Checks++
+	if s.cfg.BranchBoundLimit >= 0 && len(m.lastItems) <= s.cfg.BranchBoundLimit {
+		s.res.Checks++
 		if ok, want, got := m.optimality(got.Objective); !ok {
-			return diverge(i, ev, "objective vs branch-and-bound", want, got)
+			return s.diverge(i, ev, "objective vs branch-and-bound", want, got)
 		}
 	}
 	return false
@@ -478,34 +511,34 @@ func comparePlan(i int, ev Event, m *tenantModel, cfg RunConfig, want *planExpec
 // compareAlternative is the brute-force layer: the served distance matches
 // ADPaRB's, and the served alternative is independently verified with the
 // public satisfaction predicate.
-func compareAlternative(i int, ev Event, m *tenantModel, want *altExpect, got *server.AlternativeResponse, res *Result, diverge func(int, Event, string, string, string) bool) bool {
-	res.Checks++
+func (s *session) compareAlternative(i int, ev Event, m *tenantModel, want *altExpect, got *server.AlternativeResponse) bool {
+	s.res.Checks++
 	if !closeEnough(got.Distance, want.distance) {
-		if diverge(i, ev, "alternative distance vs brute force", formatFloat(want.distance), formatFloat(got.Distance)) {
+		if s.diverge(i, ev, "alternative distance vs brute force", formatFloat(want.distance), formatFloat(got.Distance)) {
 			return true
 		}
 	}
 	alt := strategy.Params{Quality: got.Quality, Cost: got.Cost, Latency: got.Latency}
 	covered := m.coverCount(alt)
-	res.Checks++
+	s.res.Checks++
 	if covered != got.Covered {
-		if diverge(i, ev, "covered count (recount)", strconv.Itoa(covered), strconv.Itoa(got.Covered)) {
+		if s.diverge(i, ev, "covered count (recount)", strconv.Itoa(covered), strconv.Itoa(got.Covered)) {
 			return true
 		}
 	}
 	if covered < want.k {
-		if diverge(i, ev, "alternative covers k", ">= "+strconv.Itoa(want.k), strconv.Itoa(covered)) {
+		if s.diverge(i, ev, "alternative covers k", ">= "+strconv.Itoa(want.k), strconv.Itoa(covered)) {
 			return true
 		}
 	}
 	if len(got.Strategies) != want.k {
-		if diverge(i, ev, "recommended strategy count", strconv.Itoa(want.k), strconv.Itoa(len(got.Strategies))) {
+		if s.diverge(i, ev, "recommended strategy count", strconv.Itoa(want.k), strconv.Itoa(len(got.Strategies))) {
 			return true
 		}
 	}
 	for _, id := range got.Strategies {
 		if !m.satisfies(id, alt) {
-			if diverge(i, ev, "recommended strategy satisfies alternative",
+			if s.diverge(i, ev, "recommended strategy satisfies alternative",
 				"strategy "+strconv.Itoa(id)+" satisfies", "does not satisfy") {
 				return true
 			}
@@ -514,35 +547,40 @@ func compareAlternative(i int, ev Event, m *tenantModel, want *altExpect, got *s
 	return false
 }
 
-// checkListing cross-checks GET /v1/tenants against every model.
-func checkListing(d *driver, tr Trace, models map[string]*tenantModel, res *Result, diverge func(int, Event, string, string, string) bool) {
-	infos, err := d.c.Tenants(context.Background())
-	if err != nil {
-		diverge(len(tr.Events), Event{Kind: "listing"}, "tenant listing", "reachable", err.Error())
+// checkListing cross-checks GET /v1/tenants against every model, unless
+// the divergence budget is already spent.
+func (s *session) checkListing(d *driver) {
+	if len(s.res.Divergences) >= s.cfg.MaxDivergences {
 		return
 	}
-	res.Checks++
-	if len(infos) != len(models) {
-		diverge(len(tr.Events), Event{Kind: "listing"}, "tenant count",
-			strconv.Itoa(len(models)), strconv.Itoa(len(infos)))
+	end := len(s.tr.Events)
+	infos, err := d.c.Tenants(context.Background())
+	if err != nil {
+		s.diverge(end, Event{Kind: "listing"}, "tenant listing", "reachable", err.Error())
+		return
+	}
+	s.res.Checks++
+	if len(infos) != len(s.models) {
+		s.diverge(end, Event{Kind: "listing"}, "tenant count",
+			strconv.Itoa(len(s.models)), strconv.Itoa(len(infos)))
 		return
 	}
 	for _, info := range infos {
-		m, ok := models[info.Name]
+		m, ok := s.models[info.Name]
 		if !ok {
-			diverge(len(tr.Events), Event{Kind: "listing"}, "tenant name", "known", info.Name)
+			s.diverge(end, Event{Kind: "listing"}, "tenant name", "known", info.Name)
 			continue
 		}
 		ev := Event{Tenant: info.Name, Kind: "listing"}
-		res.Checks++
+		s.res.Checks++
 		if info.Open != len(m.order) {
-			diverge(len(tr.Events), ev, "open count", strconv.Itoa(len(m.order)), strconv.Itoa(info.Open))
+			s.diverge(end, ev, "open count", strconv.Itoa(len(m.order)), strconv.Itoa(info.Open))
 		}
 		if info.Epoch != m.epoch {
-			diverge(len(tr.Events), ev, "epoch", strconv.FormatUint(m.epoch, 10), strconv.FormatUint(info.Epoch, 10))
+			s.diverge(end, ev, "epoch", strconv.FormatUint(m.epoch, 10), strconv.FormatUint(info.Epoch, 10))
 		}
 		if !closeEnough(info.Availability, m.w) {
-			diverge(len(tr.Events), ev, "availability", formatFloat(m.w), formatFloat(info.Availability))
+			s.diverge(end, ev, "availability", formatFloat(m.w), formatFloat(info.Availability))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"stratrec/internal/adpar"
 	"stratrec/internal/batch"
+	"stratrec/internal/server"
 	"stratrec/internal/strategy"
 	"stratrec/internal/workforce"
 )
@@ -86,6 +87,19 @@ func newTenantModel(spec TenantSpec) (*tenantModel, error) {
 	}
 	m.replan()
 	return m, nil
+}
+
+// tenantConfig is the server tenant the model mirrors: the same catalog,
+// models, mode, objective and initial availability. Callers add the
+// serving knobs their oracle needs.
+func (m *tenantModel) tenantConfig() server.TenantConfig {
+	return server.TenantConfig{
+		Set:       m.set,
+		Models:    m.models,
+		Mode:      m.mode,
+		Objective: m.objective,
+		InitialW:  m.spec.InitialW,
+	}
 }
 
 func (m *tenantModel) value(d strategy.Request) float64 {

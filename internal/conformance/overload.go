@@ -91,8 +91,10 @@ type OverloadConfig struct {
 	// no-trace-on-shed under the same chaos at any window. The restarted
 	// server runs at window 0.
 	GroupCommitWindow time.Duration
-	// DataDir is the durability root; empty uses a temp dir removed
-	// after a clean run and kept on violations (CI artifact).
+	// DataDir is the durability root, with CrashConfig.DataDir's rule:
+	// an explicit root must be empty or absent and is always left in
+	// place; empty uses a temp dir removed after a clean run and kept
+	// when the run violated or errored (CI artifact).
 	DataDir string
 	// BetweenPhases, when non-nil, runs between the kill and the
 	// restart with the durability root — the sabotage point teeth tests
@@ -244,28 +246,6 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		return res, err
 	}
 
-	dataDir := cfg.DataDir
-	if dataDir == "" {
-		tmp, err := os.MkdirTemp("", "stratrec-overload-*")
-		if err != nil {
-			return res, err
-		}
-		dataDir = tmp
-	} else if entries, err := os.ReadDir(dataDir); err == nil && len(entries) > 0 {
-		return res, fmt.Errorf("conformance: overload data dir %s is not empty", dataDir)
-	} else if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		// The log journal below opens before server.New creates any
-		// tenant directory.
-		return res, err
-	}
-	res.DataDir = dataDir
-	keep := false
-	defer func() {
-		if !keep && cfg.DataDir == "" {
-			os.RemoveAll(dataDir)
-		}
-	}()
-
 	// Phase 1 server: small inbox, injected faults, tiny query pool.
 	syncs := 0
 	faults := &server.Faults{
@@ -291,86 +271,73 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			return nil
 		}
 	}
-	tenantCfg := server.TenantConfig{
-		Set:       model.set,
-		Models:    model.models,
-		Mode:      model.mode,
-		Objective: model.objective,
-		InitialW:  spec.InitialW,
-		OpBuffer:  cfg.OpBuffer,
-		Faults:    faults,
-	}
-	// The phase-1 server logs structured events through a recorder that
-	// both persists them (CI artifact on failure) and indexes terminal
-	// events by trace for the correlation check below.
-	rec, err := newLogRecorder(filepath.Join(dataDir, "structured-logs.jsonl"))
-	if err != nil {
-		keep = true
-		return res, err
-	}
-	s1, err := server.New(server.Config{
-		Tenants:              map[string]server.TenantConfig{spec.Name: tenantCfg},
-		DataDir:              dataDir,
+	tc := model.tenantConfig()
+	tc.OpBuffer = cfg.OpBuffer
+	tc.Faults = faults
+	n, err := newNode(server.Config{
+		Tenants:              map[string]server.TenantConfig{spec.Name: tc},
 		WALGroupCommitWindow: cfg.GroupCommitWindow,
 		ADPaRWorkers:         1,
 		ADPaRQueue:           1,
-		Logger:               slog.New(rec),
-	})
+	}, cfg.DataDir, true)
 	if err != nil {
-		keep = true
-		rec.close()
 		return res, err
 	}
-	hs := httptest.NewServer(s1.Handler())
+	res.DataDir = n.root
+	err = overloadPhases(n, cfg, spec, res)
+	n.finish(err != nil || !res.OK())
+	return res, err
+}
 
-	ledgers := runStorm(hs, spec.Name, cfg, res)
-	hs.Close()
-	s1.Close() // the kill: WAL closes with only-acked bytes on disk
+// overloadPhases runs RunOverload's phases on n: the storm, the kill, the
+// restart and the accounting.
+func overloadPhases(n *node, cfg OverloadConfig, spec TenantSpec, res *OverloadResult) error {
+	// The phase-1 server logs structured events through a recorder that
+	// both persists them (CI artifact on failure) and indexes terminal
+	// events by trace for the correlation check below.
+	rec, err := newLogRecorder(filepath.Join(n.root, "structured-logs.jsonl"))
+	if err != nil {
+		return err
+	}
+	n.cfg.Logger = slog.New(rec)
+	if _, err := n.start(); err != nil {
+		rec.close()
+		return err
+	}
+	ledgers := runStorm(n.hs, spec.Name, cfg, res)
+	n.kill()
 	if err := rec.close(); err != nil {
-		keep = true
-		return res, err
+		return err
 	}
 	for _, l := range ledgers {
 		if l.err != nil {
-			keep = true
-			return res, l.err
+			return l.err
 		}
 	}
 
 	if cfg.BetweenPhases != nil {
-		if err := cfg.BetweenPhases(dataDir); err != nil {
-			keep = true
-			return res, err
+		if err := cfg.BetweenPhases(n.root); err != nil {
+			return err
 		}
 	}
 
-	// Restart from disk with a clean config: no faults, real pool. The
-	// fsync-failure schedule must not survive the operator restart the
-	// read-only breaker asks for.
-	tenantCfg.Faults = nil
-	start := time.Now() //lint:allow clockdiscipline -- RecoveryDuration reports real restart latency to the operator
-	s2, err := server.New(server.Config{
-		Tenants: map[string]server.TenantConfig{spec.Name: tenantCfg},
-		DataDir: dataDir,
-	})
-	res.RecoveryDuration = time.Since(start) //lint:allow clockdiscipline -- RecoveryDuration reports real restart latency to the operator
-	if err != nil {
-		keep = true
-		return res, fmt.Errorf("conformance: recovery after overload: %w", err)
+	// Restart from disk with a clean config: no faults, real pool,
+	// window 0. The fsync-failure schedule must not survive the operator
+	// restart the read-only breaker asks for.
+	tc := n.cfg.Tenants[spec.Name]
+	tc.Faults = nil
+	n.cfg = server.Config{Tenants: map[string]server.TenantConfig{spec.Name: tc}}
+	if res.RecoveryDuration, err = n.start(); err != nil {
+		return fmt.Errorf("conformance: recovery after overload: %w", err)
 	}
-	defer s2.Close()
-	tn, err := s2.Tenant(spec.Name)
+	tn, err := n.srv.Tenant(spec.Name)
 	if err != nil {
-		keep = true
-		return res, err
+		return err
 	}
 
 	verifyAccounting(cfg, spec.InitialW, ledgers, tn, res)
 	verifyTraceCorrelation(ledgers, rec, res)
-	if !res.OK() {
-		keep = true
-	}
-	return res, nil
+	return nil
 }
 
 // runStorm fires the profile's writer (and, for thundering-herd, reader)
@@ -530,62 +497,47 @@ func doSubmit(client *http.Client, base string, cfg OverloadConfig, w, i, deadli
 	q, c, l := submitParams(w, i)
 	body, _ := json.Marshal(server.SubmitRequest{ID: id, Quality: q, Cost: c, Latency: l, K: 1})
 	status, out, err := doMutation(client, "POST", base+"/requests", body, deadlineMs, trace, led)
-	if err != nil {
-		led.err = err
-		return
-	}
-	switch {
-	case status == http.StatusOK:
-		led.acked = append(led.acked, ackRecord{kind: KindSubmit, id: id, epoch: out.Epoch, trace: trace})
-	case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-		led.shedSubmit = append(led.shedSubmit, id)
-		led.shedTraces = append(led.shedTraces, trace)
-	case status >= 400 && status < 500:
-		led.domain++
-	default:
-		led.err = fmt.Errorf("conformance: submit %s: unexpected status %d", id, status)
-	}
+	led.settle(ackRecord{kind: KindSubmit, id: id, epoch: out.Epoch, trace: trace}, status, err)
 }
 
 func doRevoke(client *http.Client, base string, id string, deadlineMs int, led *workerLedger) {
 	trace := "rev-" + id // one revoke per ID per worker (see revokedAlready)
 	status, out, err := doMutation(client, "DELETE", base+"/requests/"+id, nil, deadlineMs, trace, led)
-	if err != nil {
-		led.err = err
-		return
-	}
-	switch {
-	case status == http.StatusOK:
-		led.acked = append(led.acked, ackRecord{kind: KindRevoke, id: id, epoch: out.Epoch, trace: trace})
-	case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-		led.shedRevoke = append(led.shedRevoke, id)
-		led.shedTraces = append(led.shedTraces, trace)
-	case status >= 400 && status < 500:
-		led.domain++
-	default:
-		led.err = fmt.Errorf("conformance: revoke %s: unexpected status %d", id, status)
-	}
+	led.settle(ackRecord{kind: KindRevoke, id: id, epoch: out.Epoch, trace: trace}, status, err)
 }
 
 func doDrift(client *http.Client, base string, w float64, deadlineMs int, led *workerLedger) {
 	trace := fmt.Sprintf("drift-%v", w) // drift values are globally unique
 	body, _ := json.Marshal(server.AvailabilityRequest{Workforce: w})
 	status, out, err := doMutation(client, "PUT", base+"/availability", body, deadlineMs, trace, led)
-	if err != nil {
-		led.err = err
-		return
-	}
+	led.settle(ackRecord{kind: KindDrift, w: w, epoch: out.Epoch, trace: trace}, status, err)
+}
+
+// settle sorts one mutation's outcome into the ledger: a 200 is acked, a
+// 429/503 is shed, any other 4xx is a domain error, and a transport
+// error or any other status aborts the worker.
+func (led *workerLedger) settle(a ackRecord, status int, err error) {
 	switch {
+	case err != nil:
+		led.err = err
 	case status == http.StatusOK:
-		led.acked = append(led.acked, ackRecord{kind: KindDrift, w: w, epoch: out.Epoch, trace: trace})
+		led.acked = append(led.acked, a)
 	case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
+		switch a.kind {
+		case KindSubmit:
+			led.shedSubmit = append(led.shedSubmit, a.id)
+		case KindRevoke:
+			led.shedRevoke = append(led.shedRevoke, a.id)
+		}
 		// A shed drift simply never happened in the recovered state, but
-		// its shed must still log exactly once.
-		led.shedTraces = append(led.shedTraces, trace)
+		// every shed must still log exactly once.
+		led.shedTraces = append(led.shedTraces, a.trace)
 	case status >= 400 && status < 500:
 		led.domain++
+	case a.kind == KindDrift:
+		led.err = fmt.Errorf("conformance: drift %v: unexpected status %d", a.w, status)
 	default:
-		led.err = fmt.Errorf("conformance: drift %v: unexpected status %d", w, status)
+		led.err = fmt.Errorf("conformance: %s %s: unexpected status %d", a.kind, a.id, status)
 	}
 }
 

@@ -233,7 +233,7 @@ const MaxBatchOps = 1024
 // can be enforced, so without a byte limit an arbitrarily large ops
 // array (or huge strings inside one) would be read fully into memory
 // just to be refused. Sized for MaxBatchOps worst-case ops with ample
-// slack.
+// slack. The single-op submit and availability bodies share the cap.
 const MaxBatchBodyBytes = 1 << 20
 
 // BatchOp is one mutation inside a batched ingest request. Op selects
@@ -385,6 +385,7 @@ func (s *Server) mutationContext(r *http.Request) (context.Context, context.Canc
 }
 
 func (s *Server) handleSubmit(t *Tenant, w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes)
 	var body SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeError(w, badRequest("invalid JSON: %v", err))
@@ -434,6 +435,7 @@ func (s *Server) handleRevoke(t *Tenant, w http.ResponseWriter, r *http.Request)
 }
 
 func (s *Server) handleAvailability(t *Tenant, w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes)
 	var body AvailabilityRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeError(w, badRequest("invalid JSON: %v", err))
@@ -869,7 +871,7 @@ func errorDetail(err error) (int, ErrorDetail) {
 	case errors.Is(err, stream.ErrServed):
 		code = http.StatusConflict
 		d.Code = CodeAlreadyServed
-	case errors.Is(err, stream.ErrEmptyID), errors.Is(err, stream.ErrBadAvailability),
+	case errors.Is(err, stream.ErrEmptyID), errors.Is(err, stream.ErrIDTooLong), errors.Is(err, stream.ErrBadAvailability),
 		errors.Is(err, strategy.ErrBadParam), errors.Is(err, strategy.ErrBadCardinality),
 		errors.Is(err, adpar.ErrBadK), errors.Is(err, adpar.ErrNotEnoughStrategies):
 		code = http.StatusBadRequest

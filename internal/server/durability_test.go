@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -497,4 +500,108 @@ func TestRecoveryTenThousandEventsUnder2s(t *testing.T) {
 		t.Fatalf("recovering a 10k-event log took %v (budget 2s)", took)
 	}
 	t.Logf("recovered 10k-event log in %v", took)
+}
+
+// TestOverlongIDRefused: a request ID too long for one WAL frame used to
+// be acknowledged and logged, then truncated as a torn tail at restart,
+// so an acked request vanished without an error. Both wire shapes now
+// refuse it with 400 before anything is applied or logged: a single-op
+// body over the shared byte cap fails to decode, and an ID over
+// stream.MaxIDLen fails in the manager with ErrIDTooLong, in a batch op
+// as in a small single-op body.
+func TestOverlongIDRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Tenants: map[string]TenantConfig{"alpha": fixedTenant(6, 0.7)}, DataDir: dir}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	c := hs.Client()
+	base := hs.URL + "/v1/tenants/alpha"
+	var first SubmitResponse
+	if code := call(t, c, http.MethodPost, base+"/requests",
+		SubmitRequest{ID: "r1", Quality: 0.3, Cost: 0.9, Latency: 0.9, K: 1}, &first); code != http.StatusOK {
+		t.Fatalf("first submit = %d", code)
+	}
+
+	// A batch body of exactly MaxBatchBodyBytes whose one op carries the
+	// longest ID that fits: its submit record (the ID plus 42 bytes) is
+	// over the WAL's 1 MiB frame payload.
+	const prefix, suffix = `{"ops":[{"op":"submit","id":"`, `"}]}`
+	atCap := prefix + strings.Repeat("b", MaxBatchBodyBytes-len(prefix)-len(suffix)) + suffix
+	overMax := strings.Repeat("m", stream.MaxIDLen+1)
+	single := func(id string) []byte {
+		b, _ := json.Marshal(SubmitRequest{ID: id, Quality: 0.3, Cost: 0.9, Latency: 0.9, K: 1})
+		return b
+	}
+	batch := func(id string) []byte {
+		b, _ := json.Marshal(BatchRequest{Ops: []BatchOp{{Op: OpSubmit, ID: id, Quality: 0.3, Cost: 0.9, Latency: 0.9, K: 1}}})
+		return b
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		tooLong    bool // refused with ErrIDTooLong, not by the body cap
+	}{
+		{"single-op 1 MiB + 6 byte ID", "/requests", single(strings.Repeat("s", 1<<20+6)), false},
+		{"batch body at the byte cap", "/ops", []byte(atCap), true},
+		{"single-op MaxIDLen+1", "/requests", single(overMax), true},
+		{"batch MaxIDLen+1", "/ops", batch(overMax), true},
+	} {
+		resp, err := c.Post(base+tc.path, "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		status, detail := resp.StatusCode, ErrorDetail{}
+		if tc.path == "/ops" && status == http.StatusOK {
+			var br BatchResponse
+			decodeBody(t, resp, &br)
+			if len(br.Results) != 1 {
+				t.Fatalf("%s: %d results", tc.name, len(br.Results))
+			}
+			if status = br.Results[0].Status; br.Results[0].Error != nil {
+				detail = *br.Results[0].Error
+			}
+		} else {
+			var er ErrorResponse
+			decodeBody(t, resp, &er)
+			detail = er.Error
+		}
+		resp.Body.Close()
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, status)
+		}
+		if tc.tooLong && (detail.Code != CodeInvalidArgument || !strings.Contains(detail.Message, stream.ErrIDTooLong.Error())) {
+			t.Errorf("%s: error %+v, want %s from ErrIDTooLong", tc.name, detail, CodeInvalidArgument)
+		}
+	}
+	tn, _ := s.Tenant("alpha")
+	if _, err := tn.Submit(context.Background(), strategy.Request{ID: overMax, Params: strategy.Params{Quality: 0.3, Cost: 0.9, Latency: 0.9}, K: 1}); !errors.Is(err, stream.ErrIDTooLong) {
+		t.Errorf("Tenant.Submit with a %d-byte ID: %v, want ErrIDTooLong", len(overMax), err)
+	}
+	if got := tn.Snapshot().Epoch; got != first.Epoch {
+		t.Errorf("epoch moved from %d to %d", first.Epoch, got)
+	}
+	hs.Close()
+	s.Close()
+
+	// Nothing was logged, and the restart recovers exactly the one
+	// acknowledged request without an error.
+	scanned, err := wal.Scan(filepath.Join(dir, "alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned.LastSeq != 1 || scanned.TornBytes != 0 {
+		t.Errorf("WAL after the refusals: last seq %d, %d torn bytes; want 1, 0", scanned.LastSeq, scanned.TornBytes)
+	}
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	tn2, _ := s2.Tenant("alpha")
+	if snap := tn2.Snapshot(); snap.Epoch != first.Epoch || len(snap.Requests) != 1 || snap.Requests[0].ID != "r1" {
+		t.Errorf("recovered epoch %d with %d requests, want epoch %d with r1 only", snap.Epoch, len(snap.Requests), first.Epoch)
+	}
 }

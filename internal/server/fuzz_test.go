@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
 	"stratrec/internal/batch"
+	"stratrec/internal/stream"
 	"stratrec/internal/synth"
 	"stratrec/internal/workforce"
 )
@@ -60,6 +62,8 @@ func FuzzSubmitRequest(f *testing.F) {
 	f.Add([]byte(`{"id":"."}`))
 	f.Add([]byte(`{"id":".."}`))
 	f.Add([]byte(`{"id":"a/b c","quality":0.2,"cost":0.9,"latency":0.9}`))
+	// An ID one byte over stream.MaxIDLen is refused with 400.
+	f.Add([]byte(`{"id":"` + strings.Repeat("x", stream.MaxIDLen+1) + `","quality":0.2,"cost":0.9,"latency":0.9}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s, err := fuzzServer()
@@ -89,10 +93,14 @@ func FuzzSubmitRequest(f *testing.F) {
 		if resp.ID == "" {
 			t.Fatalf("200 with empty ID for body %q", body)
 		}
+		if len(resp.ID) > stream.MaxIDLen {
+			t.Fatalf("200 for a %d-byte ID", len(resp.ID))
+		}
 		// Keep the pool bounded: revoke what we just admitted. The ID is
-		// attacker-controlled (any non-empty string is admissible), so it
-		// must be path-escaped or slashes/spaces in a fuzzed ID would 404
-		// or panic request construction and report a false crasher.
+		// attacker-controlled (any non-empty string of at most MaxIDLen
+		// bytes is admissible), so it must be path-escaped or
+		// slashes/spaces in a fuzzed ID would 404 or panic request
+		// construction and report a false crasher.
 		del := httptest.NewRequest(http.MethodDelete, "/v1/tenants/fuzz/requests/"+url.PathEscape(resp.ID), nil)
 		delRec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(delRec, del)

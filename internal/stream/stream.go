@@ -103,6 +103,14 @@ type Manager struct {
 // ErrEmptyID rejects a submission without a request ID.
 var ErrEmptyID = errors.New("stream: request needs an ID")
 
+// MaxIDLen bounds a submitted request ID, in bytes. A durable tenant
+// writes the ID into the request's WAL and checkpoint frames, whose
+// payload the log caps at 1 MiB, so the bound sits far below that cap.
+const MaxIDLen = 1024
+
+// ErrIDTooLong rejects a submission whose ID is longer than MaxIDLen.
+var ErrIDTooLong = errors.New("stream: request ID too long")
+
 // ErrDuplicateID rejects a submission reusing an *open* request's ID. A
 // revoked ID is forgotten entirely, so resubmitting it is not an error: the
 // resubmission is admitted as a brand-new request (fresh requirement, fresh
@@ -186,11 +194,14 @@ func (m *Manager) Open() int { return m.open }
 // pre-batch decision; consult Served after Commit instead).
 //
 // Error paths are consistent and leave the manager unchanged: an empty ID
-// is ErrEmptyID, invalid parameters surface the strategy validation error,
-// and an ID currently open is ErrDuplicateID. An ID that was revoked is no
-// longer open and may be resubmitted freely; the manager keeps no memory
-// of revoked requests.
+// is ErrEmptyID, an ID over MaxIDLen bytes is ErrIDTooLong, invalid
+// parameters surface the strategy validation error, and an ID currently
+// open is ErrDuplicateID. An ID that was revoked is no longer open and may
+// be resubmitted freely; the manager keeps no memory of revoked requests.
 func (m *Manager) Submit(d strategy.Request) (bool, error) {
+	if len(d.ID) > MaxIDLen {
+		return false, fmt.Errorf("%w: %d bytes, at most %d", ErrIDTooLong, len(d.ID), MaxIDLen)
+	}
 	return m.admit(d, m.nextSeq)
 }
 
@@ -199,7 +210,8 @@ func (m *Manager) Submit(d strategy.Request) (bool, error) {
 // re-admitting a request with its original Seq reproduces the original
 // workforce requirement bit-for-bit even under a per-request
 // ModelProvider. The manager's submission counter advances past seq, so
-// later fresh submissions never collide with restored ones.
+// later fresh submissions never collide with restored ones. It does not
+// apply MaxIDLen, so a log written before that bound still recovers.
 func (m *Manager) Resubmit(d strategy.Request, seq uint64) (bool, error) {
 	return m.admit(d, seq)
 }

@@ -42,7 +42,8 @@ const (
 	// maxBinaryPayload bounds the length field. Frames are tiny — an ID
 	// plus a handful of scalars — so a frame claiming a megabyte-plus
 	// payload is corruption, and bounding it keeps recovery from trusting
-	// a garbage length into a giant read.
+	// a garbage length into a giant read. Log.Append refuses to write a
+	// larger one.
 	maxBinaryPayload = 1 << 20
 )
 

@@ -348,10 +348,17 @@ func (l *Log) startSegment(firstSeq uint64) error {
 // errBroken rejects every operation after the first append/sync failure.
 var errBroken = errors.New("wal: log is broken after an earlier append failure")
 
+// errTooLarge refuses a record whose frame payload is over
+// maxBinaryPayload: the scan would read such a frame as corruption and
+// truncate it, losing a record the caller was told is logged.
+var errTooLarge = errors.New("wal: record too large for one frame")
+
 // Append assigns the next sequence number, frames the record in the v3
 // binary encoding and writes it. Without Options.SyncManual it also
 // fsyncs, so the record is durable when Append returns; under SyncManual
-// the record is durable only once a later Sync returns nil.
+// the record is durable only once a later Sync returns nil. A record too
+// large for one frame is refused before any byte is written, and the log
+// stays usable.
 func (l *Log) Append(rec Record) (uint64, error) {
 	rec.Seq = l.seq.Load() + 1
 	if l.broken {
@@ -360,13 +367,17 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if _, ok := binKindOf(rec.Kind); !ok {
 		return 0, fmt.Errorf("%w: %q", ErrKind, rec.Kind)
 	}
+	l.enc = AppendRecordBinary(l.enc[:0], rec)
+	if n := len(l.enc) - binHeaderSize; n > maxBinaryPayload {
+		l.enc = nil // keep the refused megabyte out of the reused buffer
+		return 0, fmt.Errorf("%w: %d-byte payload, at most %d", errTooLarge, n, maxBinaryPayload)
+	}
 	if l.opts.TestWriteHook != nil {
 		if err := l.opts.TestWriteHook(); err != nil {
 			l.fail()
 			return 0, err
 		}
 	}
-	l.enc = AppendRecordBinary(l.enc[:0], rec)
 	if _, err := l.w.Write(l.enc); err != nil {
 		l.fail()
 		return 0, err

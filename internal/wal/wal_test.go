@@ -438,3 +438,42 @@ func TestUnreadableSoleCheckpointRefused(t *testing.T) {
 		t.Fatalf("open over an unreadable sole checkpoint: %v, want ErrSequence", err)
 	}
 }
+
+// TestAppendRefusesOversizedRecord: a record whose frame payload is over
+// the cap the scan reads is refused before any byte is written. Written,
+// it would read back as corruption and be truncated as a torn tail at the
+// next open, losing a record the caller was told is logged. The refusal
+// leaves the log usable, and the next record takes the refused one's seq.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 2, 0)
+	before, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	big := submitRec(strings.Repeat("x", maxBinaryPayload), 2, 2)
+	if seq, err := l.Append(big); !errors.Is(err, errTooLarge) {
+		t.Fatalf("oversized append = seq %d, %v; want errTooLarge", seq, err)
+	}
+	if l.Broken() || l.LastSeq() != 2 {
+		t.Fatalf("after the refusal: broken %v, LastSeq %d", l.Broken(), l.LastSeq())
+	}
+	after, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.LastSeq != before.LastSeq || len(after.Tail) != len(before.Tail) || after.TornBytes != 0 {
+		t.Fatalf("scan after the refusal: %+v, before: %+v", after, before)
+	}
+
+	appendN(t, l, 1, 2)
+	if got, err := Scan(dir); err != nil || got.LastSeq != 3 || got.TornBytes != 0 {
+		t.Fatalf("scan after the next append: %+v, %v", got, err)
+	}
+}
