@@ -1,6 +1,6 @@
 // Package bench is the paper-reproduction benchmark harness: one benchmark
-// per table and figure of the evaluation section (see DESIGN.md's
-// experiment index). Each benchmark regenerates the corresponding artifact
+// per table and figure of the evaluation section (`experiments -list`
+// names them). Each benchmark regenerates the corresponding artifact
 // through internal/experiments, or times the underlying algorithm directly
 // where the paper reports running time (Figure 18).
 //

@@ -1,9 +1,9 @@
-// Command crowdsim drives the simulated AMT marketplace (the DESIGN.md
-// substitution for the paper's real deployments): it runs repeated HIT
-// deployments across the three weekly windows, writes the observation log
-// as a store.History JSON file, and optionally fits the Section 3.1 linear
-// models from that log — the full data pipeline a platform operator would
-// run before wiring StratRec up.
+// Command crowdsim drives the simulated AMT marketplace, the substitution
+// for the paper's real deployments ("Paper fidelity" in README.md): it
+// runs repeated HIT deployments across the three weekly windows, writes
+// the observation log as a store.History JSON file, and optionally fits
+// the Section 3.1 linear models from that log — the full data pipeline a
+// platform operator would run before wiring StratRec up.
 //
 // Usage:
 //

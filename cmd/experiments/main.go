@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's tables and figures (Section
-// 5) and prints them as text or markdown. Each experiment is listed in
-// DESIGN.md's experiment index; EXPERIMENTS.md records paper-vs-measured.
+// 5) and prints them as text or markdown. The tests in
+// internal/experiments assert each experiment's claim from the paper.
 //
 // Usage:
 //
@@ -8,7 +8,7 @@
 //	experiments -short           # trimmed sizes (seconds, for smoke tests)
 //	experiments -run figure-14   # one experiment
 //	experiments -list            # list experiment IDs
-//	experiments -md              # markdown output (for EXPERIMENTS.md)
+//	experiments -md              # markdown output
 package main
 
 import (

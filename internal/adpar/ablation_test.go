@@ -57,8 +57,8 @@ func TestPropertyOuterDimChoiceIsExact(t *testing.T) {
 	}
 }
 
-// BenchmarkAblationOuterDim quantifies the outer-dimension choice the
-// DESIGN.md ablation index calls out: duplicate-heavy dimensions make the
+// BenchmarkAblationOuterDim quantifies the outer-dimension choice of
+// `experiments -run ablations`: duplicate-heavy dimensions make the
 // heuristic pick the dimension with fewest distinct candidate values, which
 // shrinks the outer loop. The workload plants heavy duplication in the
 // latency dimension.

@@ -54,7 +54,8 @@ func TestExactPaperExampleD1(t *testing.T) {
 // TestExactPaperExampleD2Errata: the paper claims the d2 alternative is
 // (0.75, 0.5, 0.28) covering {s1, s2, s3}, but that point does not cover s1
 // (quality 0.5 < 0.75). The true optimum is (0.75, 0.58, 0.28) covering
-// {s2, s3, s4} at distance sqrt(0.05^2 + 0.38^2). See DESIGN.md errata.
+// {s2, s3, s4} at distance sqrt(0.05^2 + 0.38^2). README.md lists this
+// erratum under "Paper fidelity".
 func TestExactPaperExampleD2Errata(t *testing.T) {
 	set := strategy.PaperExampleStrategies()
 

@@ -14,7 +14,7 @@ import (
 // (step 2 / Table 4), the three per-dimension sweep-line orders (step 3 /
 // Table 5), and the boolean coverage matrix M (Table 2).
 //
-// Note (documented in DESIGN.md): the paper's printed Table 3 swaps the
+// Note (pinned by TestTracePaperD2): the paper's printed Table 3 swaps the
 // Cost and Quality columns relative to the Table 1 inputs, and Table 2
 // shows a partially updated matrix; Trace reproduces the corrected values.
 

@@ -8,8 +8,9 @@ import (
 )
 
 // TestTracePaperD2 reconstructs Tables 2-5 for the running example's d2
-// with the corrected values documented in DESIGN.md (the paper's printed
-// Table 3 swaps its Cost and Quality columns).
+// with corrected values: the paper's printed Table 3 swaps its Cost and
+// Quality columns, and its Table 2 shows a partially updated matrix
+// (README.md, "Paper fidelity").
 func TestTracePaperD2(t *testing.T) {
 	set := strategy.PaperExampleStrategies()
 	d := strategy.PaperExampleRequests()[1] // d2 = (0.8, 0.2, 0.28), k=3

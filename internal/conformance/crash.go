@@ -233,29 +233,12 @@ func postCheckpoint(d *driver) error {
 func injectTornTails(root string) (int, error) {
 	frame := wal.AppendRecordBinary(nil, wal.Record{Kind: wal.KindRevoke, ID: "torn"})
 	torn := frame[:len(frame)-3]
-	tenants, err := os.ReadDir(root)
+	segs, err := liveSegments(root)
 	if err != nil {
 		return 0, err
 	}
-	for _, te := range tenants {
-		if !te.IsDir() {
-			continue
-		}
-		dir := filepath.Join(root, te.Name())
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return 0, err
-		}
-		var last string
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".log") {
-				last = e.Name() // ReadDir sorts by name = by first seq
-			}
-		}
-		if last == "" {
-			continue
-		}
-		f, err := os.OpenFile(filepath.Join(dir, last), os.O_APPEND|os.O_WRONLY, 0o644)
+	for _, path := range segs {
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
 			return 0, err
 		}
@@ -268,4 +251,34 @@ func injectTornTails(root string) (int, error) {
 		}
 	}
 	return len(torn), nil
+}
+
+// liveSegments returns the path of the newest WAL segment in every
+// tenant directory under root that has one.
+func liveSegments(root string) ([]string, error) {
+	tenants, err := os.ReadDir(root)
+	if err != nil {
+		return nil, err
+	}
+	var segs []string
+	for _, te := range tenants {
+		if !te.IsDir() {
+			continue
+		}
+		dir := filepath.Join(root, te.Name())
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		var last string
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".log") {
+				last = e.Name() // ReadDir sorts by name = by first seq
+			}
+		}
+		if last != "" {
+			segs = append(segs, filepath.Join(dir, last))
+		}
+	}
+	return segs, nil
 }

@@ -1,11 +1,14 @@
 package conformance
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"stratrec/internal/wal"
 )
 
 // TestOverloadProfilesAccounting runs every chaos profile and requires a
@@ -146,48 +149,53 @@ func TestOverloadOracleCatchesLostAck(t *testing.T) {
 	}
 }
 
-// chopLastWALRecord truncates the newest live WAL segment under root by
-// its final line (one record), simulating an acked byte range lost by the
-// storage layer.
+// chopLastWALRecord cuts the last frame off every tenant's live WAL
+// segment under root, simulating an acked record lost by the storage
+// layer. It checks with wal.Scan that each cut took exactly one record
+// and left no torn bytes behind, so the oracle is shown one lost ack,
+// not a damaged log.
 func chopLastWALRecord(root string) error {
-	tenants, err := os.ReadDir(root)
+	segs, err := liveSegments(root)
 	if err != nil {
 		return err
 	}
-	for _, te := range tenants {
-		if !te.IsDir() {
-			continue
-		}
-		dir := filepath.Join(root, te.Name())
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		var last string
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".log") {
-				last = e.Name() // sorted by name = by first seq
-			}
-		}
-		if last == "" {
-			continue
-		}
-		path := filepath.Join(dir, last)
+	chopped := 0
+	for _, path := range segs {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		// Drop the final newline-terminated record.
-		cut := len(b)
-		if cut > 0 && b[cut-1] == '\n' {
-			cut--
+		last := -1 // offset of the last frame
+		for off := 0; off < len(b); {
+			_, size, err := wal.DecodeRecordBinary(b[off:])
+			if err != nil {
+				return fmt.Errorf("%s offset %d: %w", path, off, err)
+			}
+			last, off = off, off+size
 		}
-		for cut > 0 && b[cut-1] != '\n' {
-			cut--
+		if last < 0 {
+			continue // a fresh segment after a checkpoint
 		}
-		if err := os.WriteFile(path, b[:cut], 0o644); err != nil {
+		dir := filepath.Dir(path)
+		before, err := wal.Scan(dir)
+		if err != nil {
 			return err
 		}
+		if err := os.WriteFile(path, b[:last], 0o644); err != nil {
+			return err
+		}
+		after, err := wal.Scan(dir)
+		if err != nil {
+			return err
+		}
+		if after.LastSeq+1 != before.LastSeq || before.TornBytes != 0 || after.TornBytes != 0 {
+			return fmt.Errorf("%s: the cut moved the last seq %d -> %d and the torn bytes %d -> %d, want one record fewer and none torn",
+				path, before.LastSeq, after.LastSeq, before.TornBytes, after.TornBytes)
+		}
+		chopped++
+	}
+	if chopped == 0 {
+		return fmt.Errorf("no WAL segment under %s holds a record to cut", root)
 	}
 	return nil
 }

@@ -2,8 +2,8 @@
 // real-data experiments (Section 5.1): a worker pool with skills,
 // qualification attributes and time-varying availability; HIT deployment
 // under a strategy; and measurement of the resulting quality, cost and
-// latency. It is the platform half of the AMT substitution documented in
-// DESIGN.md (the task half lives in texttask).
+// latency. It is the platform half of the AMT substitution described under
+// "Paper fidelity" in README.md (the task half lives in texttask).
 //
 // The simulator is seeded with the ground-truth linear models the paper
 // measured (Table 6), so the estimation pipeline — observe availability,

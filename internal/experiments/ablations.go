@@ -12,7 +12,7 @@ import (
 )
 
 // Ablations quantifies the reproduction's own design choices (not a paper
-// artifact; listed in DESIGN.md):
+// artifact):
 //
 //  1. ADPaR-Exact's outer sweep dimension — the fewest-distinct-values
 //     heuristic versus each fixed dimension, on a workload with heavy

@@ -141,7 +141,7 @@ type batchSolver struct {
 func batchSolvers() []batchSolver {
 	return []batchSolver{
 		{"BruteForce", func(items []batch.Item, W float64) batch.Result {
-			return batch.BranchAndBound(items, W) // exact; see DESIGN.md
+			return batch.BranchAndBound(items, W) // BruteForce's optimum, at batch sizes 2^m enumeration cannot reach
 		}},
 		{"BatchStrat", batch.BatchStrat},
 		{"BaselineG", batch.BaselineG},

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5). Each runner produces text tables holding the same
-// rows/series the paper reports; cmd/experiments renders them and
-// EXPERIMENTS.md records paper-vs-measured for each.
+// rows/series the paper reports; cmd/experiments renders them, and this
+// package's tests assert each one's claim from the paper.
 //
 // Runners accept a Config so tests can run trimmed workloads (Short) while
 // the full harness reproduces the paper's parameter ranges.

@@ -16,7 +16,7 @@ import (
 )
 
 // The real-data experiments of Section 5.1, run against the simulated AMT
-// marketplace (see the substitution table in DESIGN.md).
+// marketplace (README.md, "Paper fidelity").
 
 func seqIndCro() strategy.Dimensions {
 	return strategy.Dimensions{Structure: strategy.Sequential, Organization: strategy.Independent, Style: strategy.CrowdOnly}

@@ -51,7 +51,7 @@ func Table1(cfg Config) (Result, error) {
 // Tables2to5 reproduces the ADPaR-Exact walk-through on d2: the relaxation
 // matrix (Table 3), the sorted relaxation list R/I/D (Table 4), the three
 // sweep-line orders (Table 5) and the coverage matrix M (Table 2), with the
-// corrected values documented in DESIGN.md.
+// corrected values README.md lists under "Paper fidelity".
 func Tables2to5(cfg Config) (Result, error) {
 	set := strategy.PaperExampleStrategies()
 	d := strategy.PaperExampleRequests()[1]
@@ -111,7 +111,7 @@ func Tables2to5(cfg Config) (Result, error) {
 	}
 
 	sol := Table{
-		Title:   "ADPaR-Exact solution for d2 (paper errata: see DESIGN.md)",
+		Title:   "ADPaR-Exact solution for d2 (paper errata: see Paper fidelity in README.md)",
 		Columns: []string{"quality'", "cost'", "latency'", "covered", "distance"},
 	}
 	covered := ""

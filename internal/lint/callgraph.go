@@ -11,11 +11,13 @@ import (
 // loopsafety see through helpers — a fact observed in a callee
 // propagates to its callers over these edges (facts.go), and ownership
 // flows the other way, from known entry points down to the helpers
-// only they reach.
+// only they reach. The module reachability test (reach_test.go) builds
+// one graph over every package a Load returns, which share one type
+// universe.
 //
-// Resolution is CHA-style over the typechecked package: direct calls
+// Resolution is CHA-style over the typechecked code: direct calls
 // resolve through types.Info.Uses; a call through an interface method
-// fans out to every same-named method of a package-local concrete type
+// fans out to every same-named method of a concrete type in the graph
 // implementing that interface. Calls through plain function values get
 // no edge (conservative: facts seeded by syntax are still seen where
 // the function body lives; ownership never flows through a value).
@@ -35,6 +37,7 @@ type cgEdge struct {
 type cgNode struct {
 	fn   *types.Func
 	decl *ast.FuncDecl
+	info *types.Info // the typechecker's view of decl's package
 	out  []*cgEdge
 	in   []*cgEdge
 }
@@ -45,7 +48,7 @@ type callGraph struct {
 }
 
 // node returns the graph node for fn, nil when fn is not a declared
-// in-package function with a body.
+// function with a body in the graph.
 func (g *callGraph) node(fn *types.Func) *cgNode {
 	if fn == nil {
 		return nil
@@ -55,36 +58,44 @@ func (g *callGraph) node(fn *types.Func) *cgNode {
 
 // buildCallGraph constructs the package call graph for a pass.
 func buildCallGraph(pass *Pass) *callGraph {
-	g := &callGraph{
+	g := newCallGraph()
+	g.addFuncs(pass.Files, pass.Info)
+	// Edges. A function literal's calls are attributed to the enclosing
+	// declaration; literals launched via `go` taint everything inside
+	// them with viaGo, as do direct `go f()` statements.
+	for _, n := range g.nodes {
+		addCallEdges(g, n)
+	}
+	return g
+}
+
+func newCallGraph() *callGraph {
+	return &callGraph{
 		nodes:  make(map[*types.Func]*cgNode),
 		byName: make(map[string][]*cgNode),
 	}
-	// Pass 1: one node per declared function with a body.
-	for _, f := range pass.Files {
+}
+
+// addFuncs adds one node per declared function with a body in files.
+func (g *callGraph) addFuncs(files []*ast.File, info *types.Info) {
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+			fn, ok := info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			n := &cgNode{fn: fn, decl: fd}
+			n := &cgNode{fn: fn, decl: fd, info: info}
 			g.nodes[fn] = n
 			g.byName[fn.Name()] = append(g.byName[fn.Name()], n)
 		}
 	}
-	// Pass 2: edges. A function literal's calls are attributed to the
-	// enclosing declaration; literals launched via `go` taint everything
-	// inside them with viaGo, as do direct `go f()` statements.
-	for _, n := range g.nodes {
-		addCallEdges(pass, g, n)
-	}
-	return g
 }
 
-func addCallEdges(pass *Pass, g *callGraph, n *cgNode) {
+func addCallEdges(g *callGraph, n *cgNode) {
 	// goLit collects the ranges of function literals that run on a
 	// spawned goroutine (operand of a go statement, directly or nested).
 	var goRanges [][2]token.Pos
@@ -124,7 +135,7 @@ func addCallEdges(pass *Pass, g *callGraph, n *cgNode) {
 			return true
 		}
 		viaGo := goCalls[call] || inGoLit(call.Pos())
-		for _, callee := range resolveCallees(pass, g, call) {
+		for _, callee := range g.resolve(calleeOf(n.info, call)) {
 			e := &cgEdge{caller: n, callee: callee, pos: call.Pos(), viaGo: viaGo}
 			n.out = append(n.out, e)
 			callee.in = append(callee.in, e)
@@ -133,12 +144,11 @@ func addCallEdges(pass *Pass, g *callGraph, n *cgNode) {
 	})
 }
 
-// resolveCallees maps one call expression to the in-package nodes it
-// may invoke: the statically-resolved callee when it is declared here,
-// plus — for interface method calls — every same-named method of a
-// package-local concrete type implementing the interface (CHA).
-func resolveCallees(pass *Pass, g *callGraph, call *ast.CallExpr) []*cgNode {
-	fn := calleeOf(pass.Info, call)
+// resolve maps a callee to the nodes a call of it may invoke: fn's own
+// node when it is declared in the graph, or — for an interface method —
+// every same-named method of a concrete type in the graph implementing
+// the interface (CHA).
+func (g *callGraph) resolve(fn *types.Func) []*cgNode {
 	if fn == nil {
 		return nil
 	}

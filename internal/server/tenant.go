@@ -978,9 +978,6 @@ func (t *Tenant) settle(o op, res opResult) {
 	t.log.LogAttrs(context.Background(), lvl, ev, attrs...)
 }
 
-// Name returns the tenant's name.
-func (t *Tenant) Name() string { return t.name }
-
 // SubmitResult reports the outcome of a submission. Served reflects the
 // plan published with the acknowledgement: under coalescing that plan
 // already includes every mutation applied in the same replan cycle, so a

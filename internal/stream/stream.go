@@ -35,30 +35,6 @@ import (
 	"stratrec/internal/workforce"
 )
 
-// Event is a plan-affecting occurrence.
-type Event int
-
-const (
-	// Submitted: a new request entered the pool.
-	Submitted Event = iota
-	// Revoked: a requester withdrew an open request.
-	Revoked
-	// AvailabilityChanged: the expected workforce W moved.
-	AvailabilityChanged
-)
-
-func (e Event) String() string {
-	switch e {
-	case Submitted:
-		return "submitted"
-	case Revoked:
-		return "revoked"
-	case AvailabilityChanged:
-		return "availability-changed"
-	}
-	return fmt.Sprintf("Event(%d)", int(e))
-}
-
 // Manager maintains a deployment plan over a changing request pool. It
 // compiles the ADPaR serving index for its strategy set once at
 // construction and reuses it for every displaced-request alternative,

@@ -4,8 +4,8 @@
 // per-strategy availability-response models with alpha drawn from [0.5, 1]
 // and beta = 1 - alpha, "in consistence with the real data experiments".
 //
-// Where the paper under-specifies the generator, this package makes the
-// choices documented in DESIGN.md: dimension values are interpreted in the
+// Where the paper under-specifies the generator, this package chooses:
+// dimension values are interpreted in the
 // Section-4 normalized smaller-is-better space (so a request threshold is
 // an upper bound on every dimension), and the availability response scales
 // a strategy's distance from its full-availability parameters: parameter

@@ -1,12 +1,12 @@
 // Package texttask simulates the collaborative text-editing tasks of the
 // paper's real-data experiments (Section 5.1): sentence translation
 // (English nursery rhymes to Hindi in the paper) and text creation (short
-// essays on a given topic). It is part of the AMT substitution documented
-// in DESIGN.md: crowd workers become simulated contributors that apply
-// edits to a shared document under a deployment strategy's Structure and
-// Organization, a simulated domain expert scores the result, and the edit
-// history exposes the "edit war" phenomenon the paper observed when
-// unguided workers collaborate simultaneously.
+// essays on a given topic). It is part of the AMT substitution described
+// under "Paper fidelity" in README.md: crowd workers become simulated
+// contributors that apply edits to a shared document under a deployment
+// strategy's Structure and Organization, a simulated domain expert scores
+// the result, and the edit history exposes the "edit war" phenomenon the
+// paper observed when unguided workers collaborate simultaneously.
 //
 // The simulation is calibrated: every contributor writes each word
 // correctly with a probability derived from the ambient ground-truth
