@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -13,8 +15,12 @@ func TestRunWritesLoadableHistory(t *testing.T) {
 	if err := run(path, "translation", 5, 10, 7, false); err != nil {
 		t.Fatal(err)
 	}
-	h, err := store.LoadHistory(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var h store.History
+	if err := json.Unmarshal(data, &h); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.Observations) == 0 {

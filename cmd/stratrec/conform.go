@@ -72,6 +72,17 @@ func runConform(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := atLeast(
+		intFlag{"tenants", *tenants, 1},
+		intFlag{"strategies", *strategies, 1},
+		intFlag{"k", *k, 1},
+		intFlag{"overload-workers", *ovWorkers, 0},
+		intFlag{"overload-ops", *ovOps, 0},
+		intFlag{"overload-op-buffer", *ovBuffer, 0},
+		intFlag{"overload-deadline-ms", *ovDeadline, 0},
+	); err != nil {
+		return err
+	}
 	for _, p := range conformance.OverloadProfiles {
 		if *profile == string(p) {
 			return runConformOverload(conformance.OverloadConfig{

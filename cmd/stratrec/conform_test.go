@@ -108,6 +108,23 @@ func TestConformRejectsBadFlags(t *testing.T) {
 	}); err == nil {
 		t.Error("typo'd profile accepted instead of failing fast")
 	}
+	// Counts the generator or the overload oracle would silently read as
+	// their defaults are refused by name before anything runs.
+	for _, args := range [][]string{
+		{"-tenants", "-1"},
+		{"-tenants", "0"},
+		{"-strategies", "-5"},
+		{"-k", "-2"},
+		{"-overload-workers", "-3", "-profile", "avail-flap"},
+		{"-overload-ops", "-2", "-profile", "avail-flap"},
+		{"-overload-op-buffer", "-1", "-profile", "avail-flap"},
+		{"-overload-deadline-ms", "-1", "-profile", "avail-flap"},
+	} {
+		out, err := capture(t, func() error { return runConform(args) })
+		if err == nil || !strings.Contains(err.Error(), args[0]+" must be at least") || out != "" {
+			t.Errorf("conform %v: err = %v, output %q; want it refused by name before any work", args, err, out)
+		}
+	}
 }
 
 // TestConformArtifactRoundTrip: an artifact written by the trace writer is

@@ -118,6 +118,25 @@ func main() {
 	}
 }
 
+// intFlag is an integer flag's name, its parsed value and the least value
+// it accepts.
+type intFlag struct {
+	name     string
+	val, min int
+}
+
+// atLeast refuses the first flag below its least value, naming it, so a
+// count the library would read as its default or cannot honour fails
+// before any work starts.
+func atLeast(flags ...intFlag) error {
+	for _, f := range flags {
+		if f.val < f.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.val)
+		}
+	}
+	return nil
+}
+
 func run(inputPath, objective, mode string, overrideW float64, adparParallelism int) error {
 	var (
 		set    strategy.Set

@@ -47,6 +47,17 @@ func runRecover(args []string) error {
 	if *dataDir == "" {
 		return fmt.Errorf("-data-dir is required")
 	}
+	cf := catalogFlags{
+		objective:   *objective,
+		mode:        *mode,
+		tenantsPath: *tenantsPath,
+		demoTenants: *demoTenants,
+		demoSize:    *demoSize,
+		seed:        *seed,
+	}
+	if err := cf.validate(); err != nil {
+		return err
+	}
 
 	names, err := tenantDirs(*dataDir)
 	if err != nil {
@@ -78,14 +89,7 @@ func runRecover(args []string) error {
 		return nil
 	}
 
-	cfg, err := buildServerConfig(catalogFlags{
-		objective:   *objective,
-		mode:        *mode,
-		tenantsPath: *tenantsPath,
-		demoTenants: *demoTenants,
-		demoSize:    *demoSize,
-		seed:        *seed,
-	})
+	cfg, err := buildServerConfig(cf)
 	if err != nil {
 		return err
 	}

@@ -159,6 +159,8 @@ func TestRecoverVerifyRoundTrip(t *testing.T) {
 
 // TestRecoverRequiresDataDir: the flag is mandatory. The error carries no
 // "recover:" prefix of its own: main prints "stratrec recover: " before it.
+// A negative demo count is refused by name before the scan, where it used
+// to panic in the catalog generator.
 func TestRecoverRequiresDataDir(t *testing.T) {
 	_, err := capture(t, func() error { return runRecover(nil) })
 	if err == nil {
@@ -166,5 +168,11 @@ func TestRecoverRequiresDataDir(t *testing.T) {
 	}
 	if strings.HasPrefix(err.Error(), "recover:") {
 		t.Fatalf("error %q repeats the prefix main prints", err)
+	}
+	out, err := capture(t, func() error {
+		return runRecover([]string{"-data-dir", t.TempDir(), "-verify", "-demo-strategies", "-5"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "-demo-strategies") || out != "" {
+		t.Errorf("negative -demo-strategies: err = %v, output %q; want it refused by name before the scan", err, out)
 	}
 }

@@ -53,18 +53,22 @@ func runServe(args []string) error {
 		return err
 	}
 
-	cfg, err := buildServerConfig(catalogFlags{
+	cf := catalogFlags{
 		objective:   *objective,
 		mode:        *mode,
 		tenantsPath: *tenantsPath,
 		demoTenants: *demoTenants,
 		demoSize:    *demoSize,
 		seed:        *seed,
-		adparPar:    *adparPar,
-	})
+	}
+	if err := cf.validate(); err != nil {
+		return err
+	}
+	cfg, err := buildServerConfig(cf)
 	if err != nil {
 		return err
 	}
+	cfg.Parallelism = *adparPar
 	cfg.DataDir = *dataDir
 	cfg.WALGroupCommitWindow = *gcWindow
 	cfg.CheckpointEvery = *ckptEvery
@@ -143,7 +147,15 @@ type catalogFlags struct {
 	demoTenants int
 	demoSize    int
 	seed        int64
-	adparPar    int
+}
+
+// validate refuses demo counts below one, which the synthetic catalog
+// generator cannot honour.
+func (cf catalogFlags) validate() error {
+	return atLeast(
+		intFlag{"demo-tenants", cf.demoTenants, 1},
+		intFlag{"demo-strategies", cf.demoSize, 1},
+	)
 }
 
 // buildServerConfig materializes the tenant universe of the given flags.
@@ -184,8 +196,7 @@ func buildServerConfig(cf catalogFlags) (server.Config, error) {
 			cfg.Tenants[name] = server.TenantConfig{
 				Set: set, Models: models,
 				Mode: agg, Objective: obj,
-				InitialW:    cat.Workforce,
-				Parallelism: cf.adparPar,
+				InitialW: cat.Workforce,
 			}
 		}
 	} else {
@@ -197,8 +208,7 @@ func buildServerConfig(cf catalogFlags) (server.Config, error) {
 			cfg.Tenants[name] = server.TenantConfig{
 				Set: set, Models: gen.Models(rng, set),
 				Mode: agg, Objective: obj,
-				InitialW:    0.7,
-				Parallelism: cf.adparPar,
+				InitialW: 0.7,
 			}
 		}
 	}

@@ -18,8 +18,12 @@ func TestServeErrors(t *testing.T) {
 	if err := runServe([]string{"-badflag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
-	if err := runServe([]string{"-demo-tenants", "0"}); err == nil {
-		t.Error("zero tenants accepted")
+	// Refused by name before any catalog is generated: a negative
+	// -demo-strategies used to panic in the generator.
+	for _, args := range [][]string{{"-demo-tenants", "0"}, {"-demo-strategies", "-5"}} {
+		if err := runServe(args); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("serve %v: err = %v, want it refused by name", args, err)
+		}
 	}
 	// The unusable address makes an accepted value fail here with a
 	// listen error instead of serving forever.

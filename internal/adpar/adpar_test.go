@@ -328,8 +328,15 @@ func TestPropertyExactOptimalAgainstRandomProbes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		u := d.Params.Point()
-		pts := set.Points()
+		// Probes live in the (1 - quality, cost, latency) space.
+		point := func(p strategy.Params) geometry.Point3 {
+			return geometry.Point3{1 - p.Quality, p.Cost, p.Latency}
+		}
+		u := point(d.Params)
+		pts := make([]geometry.Point3, len(set))
+		for i, s := range set {
+			pts[i] = point(s.Params)
+		}
 		for probe := 0; probe < 30; probe++ {
 			alt := geometry.Point3{rng.Float64(), rng.Float64(), rng.Float64()}
 			if geometry.CoverCount(pts, alt) >= d.K {
@@ -363,4 +370,41 @@ func TestExactLargeInstanceSmoke(t *testing.T) {
 	if sol.Distance <= 0 {
 		t.Errorf("tight request should need relaxation, distance = %v", sol.Distance)
 	}
+}
+
+// ExhaustiveGrid enumerates every corner (x, y, z) with coordinates drawn
+// from the per-dimension candidate values and returns the closest one
+// covering at least k strategies. It is O(|S|^3) corners with an O(|S|)
+// coverage check each — a deliberately simple exact reference for tests.
+func ExhaustiveGrid(set strategy.Set, d strategy.Request) (Solution, error) {
+	p, err := newProblem(set, d)
+	if err != nil {
+		return Solution{}, err
+	}
+	xs := distinctDimValues(p, 0)
+	ys := distinctDimValues(p, 1)
+	zs := distinctDimValues(p, 2)
+	best2 := 1e308
+	var bestAlt geometry.Point3
+	found := false
+	for _, x := range xs {
+		for _, y := range ys {
+			for _, z := range zs {
+				alt := geometry.Point3{x, y, z}
+				d2 := alt.Dist2(p.u)
+				if found && d2 >= best2 {
+					continue
+				}
+				if geometry.CoverCount(p.pts, alt) >= p.k {
+					found = true
+					best2 = d2
+					bestAlt = alt
+				}
+			}
+		}
+	}
+	if !found {
+		return Solution{}, ErrNotEnoughStrategies
+	}
+	return p.solutionAt(bestAlt), nil
 }

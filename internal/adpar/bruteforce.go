@@ -10,9 +10,7 @@ import (
 // This file implements ADPaRB, the exponential brute-force reference of
 // Section 5.2.1: examine all strategy subsets of size k, take the tightest
 // bound covering each subset (the componentwise maximum), and return the
-// subset whose bound is closest to the original parameters. Also provided
-// is ExhaustiveGrid, an O(|S|^4) corner-enumeration reference used by the
-// property-based tests to cross-check both Exact and BruteForceK.
+// subset whose bound is closest to the original parameters.
 
 // BruteForceLimit caps the instance size BruteForceK accepts; beyond ~32
 // strategies the C(n,k) enumeration is hopeless even with pruning.
@@ -61,43 +59,6 @@ func BruteForceK(set strategy.Set, d strategy.Request) (Solution, error) {
 		}
 	}
 	recurse(0, 0, p.u)
-	if !found {
-		return Solution{}, ErrNotEnoughStrategies
-	}
-	return p.solutionAt(bestAlt), nil
-}
-
-// ExhaustiveGrid enumerates every corner (x, y, z) with coordinates drawn
-// from the per-dimension candidate values and returns the closest one
-// covering at least k strategies. It is O(|S|^3) corners with an O(|S|)
-// coverage check each — a deliberately simple exact reference for tests.
-func ExhaustiveGrid(set strategy.Set, d strategy.Request) (Solution, error) {
-	p, err := newProblem(set, d)
-	if err != nil {
-		return Solution{}, err
-	}
-	xs := distinctDimValues(p, 0)
-	ys := distinctDimValues(p, 1)
-	zs := distinctDimValues(p, 2)
-	best2 := 1e308
-	var bestAlt geometry.Point3
-	found := false
-	for _, x := range xs {
-		for _, y := range ys {
-			for _, z := range zs {
-				alt := geometry.Point3{x, y, z}
-				d2 := alt.Dist2(p.u)
-				if found && d2 >= best2 {
-					continue
-				}
-				if geometry.CoverCount(p.pts, alt) >= p.k {
-					found = true
-					best2 = d2
-					bestAlt = alt
-				}
-			}
-		}
-	}
 	if !found {
 		return Solution{}, ErrNotEnoughStrategies
 	}

@@ -2,7 +2,10 @@ package adpar
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -36,6 +39,67 @@ func oracleExactWithOuterDim(set strategy.Set, d strategy.Request, outer int) (S
 		return Solution{}, err
 	}
 	return exactWithOuter(p, outer, distinctDimValues(p, outer))
+}
+
+// exactWithOuter is the original single-pass sweep Exact was built on. It is
+// kept verbatim as the reference oracle: the Index equivalence tests replay
+// randomized instances through it and require Index.Solve (sequential and
+// parallel) to reproduce its solutions bit for bit.
+func exactWithOuter(p *problem, outer int, outerCands []float64) (Solution, error) {
+	n := len(p.pts)
+	dimA, dimB := otherDims(outer)
+
+	// Pre-sort strategies by the inner sweep dimension A.
+	orderA := make([]int, n)
+	for i := range orderA {
+		orderA[i] = i
+	}
+	sort.Slice(orderA, func(x, y int) bool {
+		return p.abs[orderA[x]][dimA] < p.abs[orderA[y]][dimA]
+	})
+
+	best2 := math.Inf(1)
+	var bestAlt geometry.Point3
+	heap := newBoundedMaxHeap(p.k)
+
+	for _, cAbs := range outerCands {
+		rOuter := cAbs - p.u[outer]
+		if rOuter*rOuter >= best2 {
+			break // Lemma 2: outer candidates ascend; no better corner remains.
+		}
+		heap.reset()
+		for _, i := range orderA {
+			if p.abs[i][outer] > cAbs {
+				continue // not admitted at this outer relaxation
+			}
+			aAbs := p.abs[i][dimA]
+			rA := aAbs - p.u[dimA]
+			if rOuter*rOuter+rA*rA >= best2 {
+				break // all later corners for this outer candidate are worse
+			}
+			heap.offer(p.abs[i][dimB])
+			if heap.size() == p.k {
+				bAbs := heap.top()
+				rB := bAbs - p.u[dimB]
+				obj2 := rOuter*rOuter + rA*rA + rB*rB
+				if obj2 < best2 {
+					best2 = obj2
+					bestAlt[outer] = cAbs
+					bestAlt[dimA] = aAbs
+					bestAlt[dimB] = bAbs
+				}
+			}
+		}
+	}
+	if math.IsInf(best2, 1) {
+		// Unreachable when |S| >= k: the all-max corner always covers k.
+		return Solution{}, fmt.Errorf("adpar: internal error: no covering corner found")
+	}
+	return p.solutionAt(bestAlt), nil
+}
+
+func newBoundedMaxHeap(k int) *boundedMaxHeap {
+	return &boundedMaxHeap{k: k, data: make([]float64, 0, k)}
 }
 
 // sameSolution requires exact equality: coordinates, distance and covered

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 )
@@ -62,15 +61,6 @@ func NewPDF(outcomes []Outcome) (*PDF, error) {
 	return &PDF{outcomes: merged}, nil
 }
 
-// Point returns the degenerate distribution that always yields w.
-func Point(w float64) *PDF {
-	pdf, err := NewPDF([]Outcome{{Proportion: w, Prob: 1}})
-	if err != nil {
-		panic(err) // only reachable with w outside [0,1]
-	}
-	return pdf
-}
-
 // Outcomes returns a copy of the outcomes in ascending proportion order.
 func (p *PDF) Outcomes() []Outcome {
 	out := make([]Outcome, len(p.outcomes))
@@ -99,25 +89,6 @@ func (p *PDF) Variance() float64 {
 	return v
 }
 
-// Sample draws one availability proportion using rng.
-func (p *PDF) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	acc := 0.0
-	for _, o := range p.outcomes {
-		acc += o.Prob
-		if u <= acc {
-			return o.Proportion
-		}
-	}
-	return p.outcomes[len(p.outcomes)-1].Proportion
-}
-
-// AvailableWorkers scales the expectation to a concrete pool: with poolSize
-// suitable workers, the expected number of available workers.
-func (p *PDF) AvailableWorkers(poolSize int) float64 {
-	return p.Expected() * float64(poolSize)
-}
-
 // Window is a deployment window: a half-open interval [Start, End) such as
 // the paper's weekend window (Friday 12am to Monday 12am).
 type Window struct {
@@ -126,47 +97,8 @@ type Window struct {
 	End   time.Time
 }
 
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t time.Time) bool {
-	return !t.Before(w.Start) && t.Before(w.End)
-}
-
 // Duration returns the window length.
 func (w Window) Duration() time.Duration { return w.End.Sub(w.Start) }
-
-// Session is one worker's presence interval on the platform, taken from
-// historical arrival/departure data.
-type Session struct {
-	WorkerID string
-	Arrived  time.Time
-	Departed time.Time
-}
-
-// overlaps reports whether the session intersects the window.
-func (s Session) overlaps(w Window) bool {
-	return s.Arrived.Before(w.End) && w.Start.Before(s.Departed)
-}
-
-// EstimateWindow computes the fraction of the pool that was present during
-// the window at least once, the ratio x'/x the paper uses as its empirical
-// availability measure (Section 5.1.1). poolSize is the number of suitable
-// workers x; sessions may mention a worker several times.
-func EstimateWindow(sessions []Session, w Window, poolSize int) (float64, error) {
-	if poolSize <= 0 {
-		return 0, fmt.Errorf("availability: non-positive pool size %d", poolSize)
-	}
-	seen := make(map[string]bool)
-	for _, s := range sessions {
-		if s.overlaps(w) {
-			seen[s.WorkerID] = true
-		}
-	}
-	f := float64(len(seen)) / float64(poolSize)
-	if f > 1 {
-		f = 1
-	}
-	return f, nil
-}
 
 // EstimatePDF builds an availability PDF from repeated observations of the
 // same window type (e.g. three weekend deployments): every observation

@@ -277,8 +277,8 @@ func filterFeasible(dst, items []Item, W float64) []Item {
 
 // compareItems is the density order of Algorithm 1: non-increasing f_i/w_i,
 // ties broken on smaller workforce, then on smaller index. For items with
-// distinct indices (every solver input built by BuildItems/CompositeItems,
-// and every Planner pool) this is a strict total order, which is what lets
+// distinct indices (every solver input built by BuildItems, and every
+// Planner pool) this is a strict total order, which is what lets
 // the incremental Planner keep an ordered pool whose iteration order is
 // identical to a fresh sort.
 func compareItems(a, b Item) int {

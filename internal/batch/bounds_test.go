@@ -9,9 +9,9 @@ import (
 	"stratrec/internal/workforce"
 )
 
-// randomComposite builds a batch of m random feasible requests with the
+// randomBatch builds a batch of m random feasible requests with the
 // requirement shapes the synthetic experiments produce.
-func randomComposite(rng *rand.Rand, m int) ([]strategy.Request, []workforce.Requirement) {
+func randomBatch(rng *rand.Rand, m int) ([]strategy.Request, []workforce.Requirement) {
 	reqs := make([]strategy.Request, m)
 	wf := make([]workforce.Requirement, m)
 	for i := range reqs {
@@ -25,52 +25,26 @@ func randomComposite(rng *rand.Rand, m int) ([]strategy.Request, []workforce.Req
 	return reqs, wf
 }
 
-// TestCompositeVsBranchAndBoundTableSized pins the paper's composition
-// bounds against the exact branch-and-bound reference at the batch sizes
-// of the quality experiments (Figures 15/16), far beyond the 2^m range the
-// BruteForce cross-check covers: for every goal the greedy achieves at
-// least half the exact composite optimum (Theorem 3's proof needs only
-// value non-negativity), never exceeds it, and for the unit-value
-// throughput goal matches it exactly (Theorem 2).
+// TestCompositeVsBranchAndBoundTableSized pins the bounds on the batch
+// plan BatchStrat composes against the exact branch-and-bound reference
+// at the batch sizes of the quality experiments (Figures 15/16), far
+// beyond the 2^m range the BruteForce cross-check covers: for both
+// objectives the greedy achieves at least half the exact optimum
+// (Theorem 3), never exceeds it, and for throughput matches it exactly
+// (Theorem 2).
 func TestCompositeVsBranchAndBoundTableSized(t *testing.T) {
 	rng := rand.New(rand.NewSource(2020))
-	weighted, err := NewWeightedGoal(
-		[]Goal{ThroughputGoal{}, PayoffGoal{}, WorkerWelfareGoal{}},
-		[]float64{0.5, 0.3, 0.2},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goals := []struct {
-		goal Goal
-		// maxM bounds the batch size per goal: the pure worker-welfare
-		// goal has density exactly 1 for every item, a plateau where the
-		// fractional bound cannot prune and branch-and-bound goes
-		// exponential, so it stays at the Table-1 scale while the others
-		// run at the Figure-15/16 sizes.
-		maxM int
-	}{
-		{ThroughputGoal{}, 80},
-		{PayoffGoal{}, 80},
-		{WorkerWelfareGoal{}, 20},
-		{weighted, 80},
-	}
-
 	for _, m := range []int{20, 40, 80} {
-		for _, g := range goals {
-			if m > g.maxM {
-				continue
-			}
-			goal := g.goal
+		for _, obj := range []Objective{Throughput, Payoff} {
 			for trial := 0; trial < 10; trial++ {
-				reqs, wf := randomComposite(rng, m)
-				items := CompositeItems(reqs, wf, goal)
+				reqs, wf := randomBatch(rng, m)
+				items := BuildItems(reqs, wf, obj)
 				W := 0.2 + 0.8*rng.Float64()
 
 				got := BatchStrat(items, W)
 				opt := BranchAndBound(items, W)
 				eps := 1e-9 * (1 + opt.Objective)
-				name := fmt.Sprintf("m=%d goal=%s trial=%d", m, goal.Name(), trial)
+				name := fmt.Sprintf("m=%d objective=%s trial=%d", m, obj, trial)
 
 				if got.Objective > opt.Objective+eps {
 					t.Fatalf("%s: greedy %v above exact optimum %v", name, got.Objective, opt.Objective)
@@ -78,10 +52,8 @@ func TestCompositeVsBranchAndBoundTableSized(t *testing.T) {
 				if got.Objective < opt.Objective/2-eps {
 					t.Fatalf("%s: greedy %v below half of optimum %v", name, got.Objective, opt.Objective)
 				}
-				if _, unit := goal.(ThroughputGoal); unit {
-					if got.Objective < opt.Objective-eps {
-						t.Fatalf("%s: throughput greedy %v not exact vs %v", name, got.Objective, opt.Objective)
-					}
+				if obj == Throughput && got.Objective < opt.Objective-eps {
+					t.Fatalf("%s: throughput greedy %v not exact vs %v", name, got.Objective, opt.Objective)
 				}
 				if got.Workforce > W+eps || opt.Workforce > W+eps {
 					t.Fatalf("%s: plan over capacity: greedy %v, exact %v > W=%v", name, got.Workforce, opt.Workforce, W)
@@ -96,8 +68,8 @@ func TestCompositeVsBranchAndBoundTableSized(t *testing.T) {
 // selected items and recommendations.
 func TestBranchAndBoundSelectionConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	reqs, wf := randomComposite(rng, 60)
-	items := CompositeItems(reqs, wf, PayoffGoal{})
+	reqs, wf := randomBatch(rng, 60)
+	items := BuildItems(reqs, wf, Payoff)
 	W := 0.8
 	opt := BranchAndBound(items, W)
 

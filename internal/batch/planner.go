@@ -26,9 +26,9 @@ import (
 // chunk merges into a neighbour when the two fit in half a chunk.
 //
 // The contract is exact equivalence: after any sequence of
-// Insert/Remove/Update/SetBudget events, Result() is bit-identical —
-// selection order, objective and workforce sums included — to a fresh
-// BatchStrat call over the same items and budget. That holds because the
+// Insert/Remove/SetBudget events, the plan is bit-identical — selection
+// order, objective and workforce sums included — to a fresh BatchStrat
+// call over the same items and budget. That holds because the
 // repair resumes from the stored state of the first stale chunk, so every
 // float is produced by the same additions in the same order a fresh run
 // would perform.
@@ -37,8 +37,8 @@ import (
 // identity key); Insert rejects duplicates with ErrDuplicateIndex.
 // Repair work is deferred: mutations cost a one-chunk edit, and the greedy
 // walk from the first stale chunk runs at most once per batch of
-// mutations, when Changed, IsSelected, Result or one of the aggregate
-// accessors is next called. A Planner is not safe for concurrent use.
+// mutations, when Changed, IsSelected or one of the aggregate accessors
+// is next called. A Planner is not safe for concurrent use.
 type Planner struct {
 	w float64
 
@@ -119,9 +119,6 @@ func NewPlanner(w float64) *Planner {
 
 // Len returns the number of live items.
 func (p *Planner) Len() int { return len(p.byIndex) }
-
-// Budget returns the current workforce budget W.
-func (p *Planner) Budget() float64 { return p.w }
 
 // markDirty records that greedy decisions from chunk ci on may be stale.
 func (p *Planner) markDirty(ci int) {
@@ -232,16 +229,6 @@ func (p *Planner) merge(ci int) {
 	c.n += next.n
 	p.markDirty(ci)
 	p.chunks = slices.Delete(p.chunks, ci+1, ci+2)
-}
-
-// Update reweights a live item (same index, new value/workforce/
-// strategies): a remove + insert that dirties from the earlier of the two
-// affected chunks.
-func (p *Planner) Update(it Item) error {
-	if !p.Remove(it.Index) {
-		return fmt.Errorf("batch: update of unknown item index %d", it.Index)
-	}
-	return p.Insert(it)
 }
 
 // SetBudget moves the workforce budget W. Feasibility and every greedy
@@ -408,25 +395,4 @@ func (p *Planner) Workforce() float64 {
 		return p.byIndex[p.end.bi].Workforce
 	}
 	return p.end.cw
-}
-
-// Result materializes the current plan as a solver Result, bit-identical
-// to BatchStrat over the live items and budget: same selection order, same
-// float sums, same recommendations. O(n); intended for snapshotting and
-// equivalence checking, not for the per-event hot path (use Changed /
-// IsSelected there).
-func (p *Planner) Result() Result {
-	p.repair()
-	if p.singleWins() {
-		return singleItemResult(p.byIndex[p.end.bi])
-	}
-	res := Result{Recommendations: map[int][]int{}}
-	for _, c := range p.chunks {
-		for _, e := range c.e[:c.n] {
-			if e.taken {
-				addItem(&res, p.byIndex[e.index])
-			}
-		}
-	}
-	return res
 }

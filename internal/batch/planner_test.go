@@ -10,6 +10,29 @@ import (
 	"testing"
 )
 
+// Budget returns the current workforce budget W.
+func (p *Planner) Budget() float64 { return p.w }
+
+// Result materializes the current plan as a solver Result, bit-identical
+// to BatchStrat over the live items and budget: same selection order, same
+// float sums, same recommendations. O(n); the equivalence checks compare
+// it against a fresh BatchStrat.
+func (p *Planner) Result() Result {
+	p.repair()
+	if p.singleWins() {
+		return singleItemResult(p.byIndex[p.end.bi])
+	}
+	res := Result{Recommendations: map[int][]int{}}
+	for _, c := range p.chunks {
+		for _, e := range c.e[:c.n] {
+			if e.taken {
+				addItem(&res, p.byIndex[e.index])
+			}
+		}
+	}
+	return res
+}
+
 // comparePlannerToFresh asserts full, bit-level equivalence between the
 // planner's maintained answer and a fresh BatchStrat run over the same
 // items and budget: selection order, float sums, recommendations, and
@@ -241,7 +264,10 @@ func TestPlannerMatchesBatchStratRandom(t *testing.T) {
 					case evUpdate:
 						idx := randomLiveIndex(rng, live)
 						it := randomItem(rng, idx, objective == "payoff")
-						if err := p.Update(it); err != nil {
+						if !p.Remove(idx) {
+							t.Fatalf("step %d: Remove(%d) reported missing", step, idx)
+						}
+						if err := p.Insert(it); err != nil {
 							t.Fatal(err)
 						}
 						live[idx] = it
@@ -445,7 +471,7 @@ func TestPlannerBestSingleTransitions(t *testing.T) {
 }
 
 // TestPlannerEdgeCases covers the planner API contract around the random
-// property: empty pools, duplicate indices, unknown removals/updates.
+// property: empty pools, duplicate indices, unknown removals.
 func TestPlannerEdgeCases(t *testing.T) {
 	p := NewPlanner(0.5)
 	comparePlannerToFresh(t, p, map[int]Item{}, "empty")
@@ -457,9 +483,6 @@ func TestPlannerEdgeCases(t *testing.T) {
 	}
 	if p.Remove(7) {
 		t.Fatal("Remove on empty pool reported success")
-	}
-	if err := p.Update(Item{Index: 7}); err == nil {
-		t.Fatal("Update of unknown index accepted")
 	}
 	if err := p.Insert(Item{Index: 1, Value: 1, Workforce: 0.2}); err != nil {
 		t.Fatal(err)
@@ -636,7 +659,10 @@ func FuzzPlanner(f *testing.F) {
 				start := a * len(order) / 256
 				if op == 2 {
 					it := randomItem(rng, order[start].Index, payoff)
-					if err := p.Update(it); err != nil {
+					if !p.Remove(it.Index) {
+						t.Fatalf("%s: Remove(%d) reported missing", desc, it.Index)
+					}
+					if err := p.Insert(it); err != nil {
 						t.Fatal(err)
 					}
 					live[it.Index] = it

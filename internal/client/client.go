@@ -1,6 +1,6 @@
 // Package client is the Go client for the stratrec serving API: typed
-// wrappers over the /v1 HTTP surface with connection reuse, uniform
-// error decoding, and optional Retry-After-aware retry.
+// wrappers over the /v1 HTTP surface with connection reuse and uniform
+// error decoding.
 //
 // The wire types are aliases of the server's own JSON shapes, so the
 // client and server can never drift apart structurally, and callers that
@@ -8,11 +8,7 @@
 //
 // Every non-2xx response decodes into an *APIError carrying the HTTP
 // status, the stable machine-matchable error code, the human-readable
-// message, and the server's backoff hint. Retry (opt-in via WithRetry)
-// re-issues mutations only on Temporary errors — overload sheds and
-// tenant shutdown, both of which the server guarantees left no trace —
-// honoring the hint up to a 2s cap, so a retried submit can never
-// double-apply.
+// message, the server's backoff hint and the echoed trace ID.
 package client
 
 import (
@@ -21,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -41,7 +36,6 @@ type (
 	PlanSummaryResponse  = server.PlanSummaryResponse
 	AlternativeResponse  = server.AlternativeResponse
 	TenantInfo           = server.TenantInfo
-	HealthResponse       = server.HealthResponse
 	CheckpointResponse   = server.CheckpointResponse
 	BatchOp              = server.BatchOp
 	BatchRequest         = server.BatchRequest
@@ -79,34 +73,11 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("client: %d: %s", e.Status, e.Message)
 }
 
-// Temporary reports whether backing off and retrying the identical call
-// can succeed: overload sheds (429) and tenant shutdown (503), which the
-// server promises left no trace. A wal_broken 503 is excluded — the
-// tenant is read-only until an operator restart, so no in-process retry
-// helps.
-func (e *APIError) Temporary() bool {
-	switch e.Status {
-	case http.StatusTooManyRequests:
-		return true
-	case http.StatusServiceUnavailable:
-		return e.Code != server.CodeWALBroken
-	}
-	return false
-}
-
-// maxRetryWait caps how long one retry backoff sleeps, whatever the
-// server hints (wal_broken hints 30s; even if it were retried, no client
-// call should park that long).
-const maxRetryWait = 2 * time.Second
-
 // Client talks to one stratrec server. The zero value is not usable;
 // construct with New. Methods are safe for concurrent use.
 type Client struct {
-	base     string
-	hc       *http.Client
-	retries  int
-	deadline time.Duration
-	trace    func() string
+	base string
+	hc   *http.Client
 }
 
 // Option configures a Client.
@@ -114,20 +85,6 @@ type Option func(*Client)
 
 // WithHTTPClient replaces the default keep-alive HTTP client.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
-
-// WithRetry allows up to n additional attempts after a Temporary error,
-// sleeping the server's Retry-After hint (capped at 2s) between them.
-func WithRetry(n int) Option { return func(c *Client) { c.retries = n } }
-
-// WithDeadline attaches X-Request-Deadline-Ms to every mutation, opting
-// into the server's projected-wait admission control.
-func WithDeadline(d time.Duration) Option { return func(c *Client) { c.deadline = d } }
-
-// WithTrace attaches an X-Trace-Id header generated by gen to every
-// request, correlating each call with the server's structured log events
-// for it. The server echoes the ID on every response (including sheds),
-// and APIError.TraceID carries the echo back to the caller.
-func WithTrace(gen func() string) Option { return func(c *Client) { c.trace = gen } }
 
 // New builds a client for the server at base (e.g.
 // "http://127.0.0.1:8080"). The default transport keeps connections
@@ -153,21 +110,21 @@ func tenantPath(tenant string) string { return "/v1/tenants/" + url.PathEscape(t
 // server-side when zero.
 func (c *Client) Submit(ctx context.Context, tenant string, req SubmitRequest) (SubmitResponse, error) {
 	var out SubmitResponse
-	err := c.do(ctx, http.MethodPost, tenantPath(tenant)+"/requests", req, &out, true)
+	err := c.do(ctx, http.MethodPost, tenantPath(tenant)+"/requests", req, &out)
 	return out, err
 }
 
 // Revoke withdraws an open request.
 func (c *Client) Revoke(ctx context.Context, tenant, id string) (EpochResponse, error) {
 	var out EpochResponse
-	err := c.do(ctx, http.MethodDelete, tenantPath(tenant)+"/requests/"+url.PathEscape(id), nil, &out, true)
+	err := c.do(ctx, http.MethodDelete, tenantPath(tenant)+"/requests/"+url.PathEscape(id), nil, &out)
 	return out, err
 }
 
 // SetAvailability moves the tenant's expected workforce.
 func (c *Client) SetAvailability(ctx context.Context, tenant string, workforce float64) (EpochResponse, error) {
 	var out EpochResponse
-	err := c.do(ctx, http.MethodPut, tenantPath(tenant)+"/availability", AvailabilityRequest{Workforce: workforce}, &out, true)
+	err := c.do(ctx, http.MethodPut, tenantPath(tenant)+"/availability", AvailabilityRequest{Workforce: workforce}, &out)
 	return out, err
 }
 
@@ -177,19 +134,14 @@ func (c *Client) SetAvailability(ctx context.Context, tenant string, workforce f
 // body, overload, read-only tenant); per-op failures live in the results.
 func (c *Client) SendOps(ctx context.Context, tenant string, ops []BatchOp) (BatchResponse, error) {
 	var out BatchResponse
-	err := c.do(ctx, http.MethodPost, tenantPath(tenant)+"/ops", BatchRequest{Ops: ops}, &out, true)
+	err := c.do(ctx, http.MethodPost, tenantPath(tenant)+"/ops", BatchRequest{Ops: ops}, &out)
 	return out, err
-}
-
-// Send posts a built Batch via SendOps.
-func (c *Client) Send(ctx context.Context, tenant string, b *Batch) (BatchResponse, error) {
-	return c.SendOps(ctx, tenant, b.Ops())
 }
 
 // Plan reads the tenant's current deployment plan snapshot.
 func (c *Client) Plan(ctx context.Context, tenant string) (PlanResponse, error) {
 	var out PlanResponse
-	err := c.do(ctx, http.MethodGet, tenantPath(tenant)+"/plan", nil, &out, false)
+	err := c.do(ctx, http.MethodGet, tenantPath(tenant)+"/plan", nil, &out)
 	return out, err
 }
 
@@ -199,21 +151,21 @@ func (c *Client) Plan(ctx context.Context, tenant string) (PlanResponse, error) 
 // serializes every open request on every read.
 func (c *Client) PlanSummary(ctx context.Context, tenant string) (PlanSummaryResponse, error) {
 	var out PlanSummaryResponse
-	err := c.do(ctx, http.MethodGet, tenantPath(tenant)+"/plan?view=summary", nil, &out, false)
+	err := c.do(ctx, http.MethodGet, tenantPath(tenant)+"/plan?view=summary", nil, &out)
 	return out, err
 }
 
 // Alternative asks for the ADPaR recommendation of a displaced request.
 func (c *Client) Alternative(ctx context.Context, tenant, id string) (AlternativeResponse, error) {
 	var out AlternativeResponse
-	err := c.do(ctx, http.MethodGet, tenantPath(tenant)+"/requests/"+url.PathEscape(id)+"/alternative", nil, &out, false)
+	err := c.do(ctx, http.MethodGet, tenantPath(tenant)+"/requests/"+url.PathEscape(id)+"/alternative", nil, &out)
 	return out, err
 }
 
 // Tenants lists the hosted tenants.
 func (c *Client) Tenants(ctx context.Context) ([]TenantInfo, error) {
 	var out []TenantInfo
-	err := c.do(ctx, http.MethodGet, "/v1/tenants", nil, &out, false)
+	err := c.do(ctx, http.MethodGet, "/v1/tenants", nil, &out)
 	return out, err
 }
 
@@ -221,7 +173,7 @@ func (c *Client) Tenants(ctx context.Context) ([]TenantInfo, error) {
 // tenant's routes are live when the call returns.
 func (c *Client) CreateTenant(ctx context.Context, tenant string, req CreateTenantRequest) (TenantStatusResponse, error) {
 	var out TenantStatusResponse
-	err := c.do(ctx, http.MethodPost, "/v1/admin/tenants/"+url.PathEscape(tenant), req, &out, false)
+	err := c.do(ctx, http.MethodPost, "/v1/admin/tenants/"+url.PathEscape(tenant), req, &out)
 	return out, err
 }
 
@@ -229,134 +181,56 @@ func (c *Client) CreateTenant(ctx context.Context, tenant string, req CreateTena
 // drain, a final checkpoint is cut, and the name 404s afterwards.
 func (c *Client) DrainTenant(ctx context.Context, tenant string) (DrainTenantResponse, error) {
 	var out DrainTenantResponse
-	err := c.do(ctx, http.MethodDelete, "/v1/admin/tenants/"+url.PathEscape(tenant), nil, &out, false)
+	err := c.do(ctx, http.MethodDelete, "/v1/admin/tenants/"+url.PathEscape(tenant), nil, &out)
 	return out, err
 }
 
 // TenantStatus reads one tenant's admin status row.
 func (c *Client) TenantStatus(ctx context.Context, tenant string) (TenantStatusResponse, error) {
 	var out TenantStatusResponse
-	err := c.do(ctx, http.MethodGet, "/v1/admin/tenants/"+url.PathEscape(tenant), nil, &out, false)
+	err := c.do(ctx, http.MethodGet, "/v1/admin/tenants/"+url.PathEscape(tenant), nil, &out)
 	return out, err
 }
 
 // Checkpoint checkpoints every tenant WAL.
 func (c *Client) Checkpoint(ctx context.Context) (CheckpointResponse, error) {
 	var out CheckpointResponse
-	err := c.do(ctx, http.MethodPost, "/v1/admin/checkpoint", nil, &out, false)
+	err := c.do(ctx, http.MethodPost, "/v1/admin/checkpoint", nil, &out)
 	return out, err
 }
 
-// Healthz reads the health report. Unlike every other endpoint, a 503
-// here carries a HealthResponse body (status "unavailable"), not the
-// error envelope, so it decodes the report for 200 and 503 alike and
-// errors only on transport failures or unexpected statuses.
-func (c *Client) Healthz(ctx context.Context) (HealthResponse, error) {
-	var out HealthResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return out, decodeAPIError(resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("client: decoding health report: %w", err)
-	}
-	return out, nil
-}
-
 // do performs one call, decoding 2xx bodies into out and everything else
-// into an *APIError, retrying Temporary errors when configured.
-func (c *Client) do(ctx context.Context, method, path string, in, out any, mutation bool) error {
-	var body []byte
+// into an *APIError.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		body = b
+		body = bytes.NewReader(b)
 	}
-	// One trace ID per logical call: retries of the same mutation share
-	// it, so the server's log shows every attempt under one thread.
-	var traceID string
-	if c.trace != nil {
-		traceID = c.trace()
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return err
 	}
-	for attempt := 0; ; attempt++ {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-		if err != nil {
-			return err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if mutation && c.deadline > 0 {
-			req.Header.Set(server.DeadlineHeader, strconv.FormatInt(c.deadline.Milliseconds(), 10))
-		}
-		if traceID != "" {
-			req.Header.Set(server.TraceHeader, traceID)
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			// Transport errors are never retried: unlike a decoded 429/503,
-			// there is no guarantee the mutation left no trace.
-			return err
-		}
-		if resp.StatusCode < 300 {
-			var decodeErr error
-			if out != nil {
-				decodeErr = json.NewDecoder(resp.Body).Decode(out)
-			}
-			drain(resp)
-			if decodeErr != nil {
-				return fmt.Errorf("client: decoding %s %s response: %w", method, path, decodeErr)
-			}
-			return nil
-		}
-		apiErr := decodeAPIError(resp)
-		drain(resp)
-		if attempt >= c.retries || !apiErr.Temporary() {
-			return apiErr
-		}
-		wait := apiErr.RetryAfter
-		if wait <= 0 {
-			wait = 25 * time.Millisecond
-		}
-		if wait > maxRetryWait {
-			wait = maxRetryWait
-		}
-		timer := time.NewTimer(jitteredWait(wait))
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return apiErr
-		case <-timer.C:
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer drain(resp)
+	if resp.StatusCode >= 300 {
+		return decodeAPIError(resp)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 		}
 	}
-}
-
-// jitteredWait spreads one backoff over [wait/2, wait] (full jitter over
-// the upper half). A burst of sheds hands every client the same hint;
-// sleeping it verbatim re-synchronizes the whole herd onto the same
-// retry instant and the server sheds them all again. Decorrelating the
-// sleeps while never retrying earlier than half the server's estimate
-// keeps the hint's intent and breaks the herd.
-func jitteredWait(wait time.Duration) time.Duration {
-	if wait <= 1 {
-		return wait
-	}
-	half := wait / 2
-	return half + rand.N(wait-half+1)
+	return nil
 }
 
 // decodeAPIError reads a non-2xx body into an APIError, falling back to
@@ -414,44 +288,3 @@ func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 }
-
-// Batch accumulates ops for one SendOps call. The zero value is ready to
-// use; methods chain:
-//
-//	resp, err := c.Send(ctx, "alpha", new(client.Batch).
-//		Submit("r1", 0.5, 0.8, 0.8, 2).
-//		Revoke("r0").
-//		SetAvailability(0.6))
-type Batch struct {
-	ops []BatchOp
-}
-
-// Submit appends a submit op. Pass k = 0 for the server default of 1.
-func (b *Batch) Submit(id string, quality, cost, latency float64, k int) *Batch {
-	b.ops = append(b.ops, BatchOp{
-		Op: server.OpSubmit, ID: id,
-		Quality: quality, Cost: cost, Latency: latency, K: k,
-	})
-	return b
-}
-
-// Revoke appends a revoke op.
-func (b *Batch) Revoke(id string) *Batch {
-	b.ops = append(b.ops, BatchOp{Op: server.OpRevoke, ID: id})
-	return b
-}
-
-// SetAvailability appends an availability op.
-func (b *Batch) SetAvailability(workforce float64) *Batch {
-	b.ops = append(b.ops, BatchOp{Op: server.OpAvailability, Workforce: workforce})
-	return b
-}
-
-// Len reports how many ops the batch holds.
-func (b *Batch) Len() int { return len(b.ops) }
-
-// Ops returns the accumulated ops in append order.
-func (b *Batch) Ops() []BatchOp { return b.ops }
-
-// Reset empties the batch for reuse, keeping its capacity.
-func (b *Batch) Reset() { b.ops = b.ops[:0] }

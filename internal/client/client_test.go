@@ -4,16 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"stratrec/internal/batch"
 	"stratrec/internal/server"
+	"stratrec/internal/store"
+	"stratrec/internal/strategy"
 	"stratrec/internal/synth"
 	"stratrec/internal/workforce"
 )
@@ -44,7 +44,7 @@ func newBackend(t *testing.T, cfg server.Config) (*server.Server, *httptest.Serv
 }
 
 // TestClientEndToEnd exercises every method against a real server: typed
-// happy paths, the batch builder, and envelope decoding into APIError.
+// happy paths, batched ingest, and envelope decoding into APIError.
 func TestClientEndToEnd(t *testing.T) {
 	_, hs := newBackend(t, server.Config{})
 	c := New(hs.URL, WithHTTPClient(hs.Client()))
@@ -83,12 +83,13 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Fatalf("availability epoch %d did not advance past %d", av.Epoch, sub.Epoch)
 	}
 
-	// Batched ingest via the builder: the revoke targets the same batch's
-	// neighbour from the previous single-op submit.
-	resp, err := c.Send(ctx, "alpha", new(Batch).
-		Submit("r2", 0.45, 0.9, 0.9, 0).
-		Revoke("r1").
-		SetAvailability(0.65))
+	// Batched ingest: the revoke targets the request of the previous
+	// single-op submit.
+	resp, err := c.SendOps(ctx, "alpha", []BatchOp{
+		{Op: server.OpSubmit, ID: "r2", Quality: 0.45, Cost: 0.9, Latency: 0.9},
+		{Op: server.OpRevoke, ID: "r1"},
+		{Op: server.OpAvailability, Workforce: 0.65},
+	})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -112,17 +113,12 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Fatalf("tenant info after batch: %+v", infos[0])
 	}
 
-	health, err := c.Healthz(ctx)
-	if err != nil || health.Status != server.HealthOK {
-		t.Fatalf("healthz: %v %+v", err, health)
-	}
-
 	// Typed errors: a revoke of an unknown ID decodes the envelope.
 	var apiErr *APIError
 	if _, err := c.Revoke(ctx, "alpha", "ghost"); !errors.As(err, &apiErr) {
 		t.Fatalf("revoke ghost: %v", err)
 	}
-	if apiErr.Status != http.StatusNotFound || apiErr.Code != server.CodeUnknownRequest || apiErr.Temporary() {
+	if apiErr.Status != http.StatusNotFound || apiErr.Code != server.CodeUnknownRequest {
 		t.Fatalf("revoke ghost error: %+v", apiErr)
 	}
 	if _, err := c.Alternative(ctx, "alpha", "ghost"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
@@ -135,68 +131,33 @@ func TestClientEndToEnd(t *testing.T) {
 	if apiErr.Status != http.StatusConflict || apiErr.Code != server.CodeNoDurability {
 		t.Fatalf("checkpoint error: %+v", apiErr)
 	}
-}
 
-// TestClientRetry: Temporary errors are retried honoring the hint, and a
-// wal_broken 503 — whose hint means "operator restart", not "back off" —
-// is not.
-func TestClientRetry(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(server.ErrorResponse{Error: server.ErrorDetail{
-				Code: server.CodeOverloaded, Message: "queue full", RetryAfterMs: 1,
-			}})
-			return
-		}
-		json.NewEncoder(w).Encode(SubmitResponse{ID: "r1", Served: true, Epoch: 1})
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, WithRetry(3))
-	sub, err := c.Submit(context.Background(), "alpha", SubmitRequest{ID: "r1", K: 1})
-	if err != nil {
-		t.Fatalf("submit with retry: %v", err)
+	// Runtime tenant admin: create, read, drain, and the name 404s.
+	st, err := c.CreateTenant(ctx, "beta", CreateTenantRequest{Catalog: store.Catalog{
+		Workforce: 0.7,
+		Entries: []store.Entry{{Name: "s1", Structure: "SEQ", Organize: "IND", Style: "CRO",
+			Params: strategy.Params{Quality: 0.9, Cost: 0.2, Latency: 0.2}}},
+	}})
+	if err != nil || st.Name != "beta" || st.Strategies != 1 {
+		t.Fatalf("create tenant: %v %+v", err, st)
 	}
-	if sub.Epoch != 1 || calls.Load() != 3 {
-		t.Fatalf("submit = %+v after %d calls", sub, calls.Load())
+	if st, err := c.TenantStatus(ctx, "beta"); err != nil || st.Name != "beta" || st.Availability != 0.7 {
+		t.Fatalf("tenant status: %v %+v", err, st)
 	}
-
-	// Without retries the first shed surfaces, envelope decoded.
-	calls.Store(0)
-	var apiErr *APIError
-	if _, err := New(ts.URL).Submit(context.Background(), "alpha", SubmitRequest{ID: "r1"}); !errors.As(err, &apiErr) {
-		t.Fatalf("unretried submit: %v", err)
+	if dr, err := c.DrainTenant(ctx, "beta"); err != nil || dr.Tenant != "beta" {
+		t.Fatalf("drain tenant: %v %+v", err, dr)
 	}
-	if apiErr.Status != http.StatusTooManyRequests || apiErr.Code != server.CodeOverloaded ||
-		apiErr.RetryAfter != time.Millisecond || !apiErr.Temporary() {
-		t.Fatalf("shed error: %+v", apiErr)
-	}
-
-	var broken atomic.Int32
-	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		broken.Add(1)
-		w.Header().Set("Retry-After", "30")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(server.ErrorResponse{Error: server.ErrorDetail{
-			Code: server.CodeWALBroken, Message: "read-only", RetryAfterMs: 30000,
-		}})
-	}))
-	defer down.Close()
-	if _, err := New(down.URL, WithRetry(5)).Submit(context.Background(), "alpha", SubmitRequest{ID: "x"}); !errors.As(err, &apiErr) {
-		t.Fatalf("wal_broken submit: %v", err)
-	}
-	if apiErr.Temporary() || broken.Load() != 1 {
-		t.Fatalf("wal_broken retried: %+v after %d calls", apiErr, broken.Load())
+	if _, err := c.TenantStatus(ctx, "beta"); !errors.As(err, &apiErr) || apiErr.Code != server.CodeUnknownTenant {
+		t.Fatalf("status of a drained tenant: %v", err)
 	}
 }
 
 // TestAPIErrorFallback: a non-envelope body (a proxy error page) still
-// yields a usable APIError, with the hint read from the header.
+// yields a usable APIError, with the hint and the trace ID read from the
+// headers.
 func TestAPIErrorFallback(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(server.TraceHeader, "trace-1")
 		w.Header().Set("Retry-After", "3")
 		w.WriteHeader(http.StatusBadGateway)
 		w.Write([]byte("bad gateway\n"))
@@ -207,75 +168,9 @@ func TestAPIErrorFallback(t *testing.T) {
 		t.Fatalf("plan: %v", err)
 	}
 	if apiErr.Status != http.StatusBadGateway || apiErr.Code != "" ||
-		apiErr.Message != "bad gateway" || apiErr.RetryAfter != 3*time.Second {
+		apiErr.Message != "bad gateway" || apiErr.RetryAfter != 3*time.Second ||
+		apiErr.TraceID != "trace-1" {
 		t.Fatalf("fallback error: %+v", apiErr)
-	}
-}
-
-// TestClientDeadline: WithDeadline stamps the admission-control header on
-// mutations and leaves reads alone.
-func TestClientDeadline(t *testing.T) {
-	headers := make(chan string, 2)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		headers <- r.Header.Get(server.DeadlineHeader)
-		json.NewEncoder(w).Encode(PlanResponse{})
-	}))
-	defer ts.Close()
-	c := New(ts.URL, WithDeadline(50*time.Millisecond))
-	if _, err := c.SetAvailability(context.Background(), "alpha", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-headers; got != "50" {
-		t.Fatalf("mutation deadline header = %q, want 50", got)
-	}
-	if _, err := c.Plan(context.Background(), "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-headers; got != "" {
-		t.Fatalf("read carried deadline header %q", got)
-	}
-}
-
-// TestBatchBuilder: append order, zero-value usability, Reset.
-func TestBatchBuilder(t *testing.T) {
-	var b Batch
-	b.Submit("a", 0.1, 0.2, 0.3, 2).Revoke("b").SetAvailability(0.4)
-	if b.Len() != 3 {
-		t.Fatalf("len = %d", b.Len())
-	}
-	ops := b.Ops()
-	if ops[0].Op != server.OpSubmit || ops[0].ID != "a" || ops[0].K != 2 ||
-		ops[1].Op != server.OpRevoke || ops[1].ID != "b" ||
-		ops[2].Op != server.OpAvailability || ops[2].Workforce != 0.4 {
-		t.Fatalf("ops = %+v", ops)
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("len after reset = %d", b.Len())
-	}
-}
-
-// TestJitteredWait: the jittered backoff stays inside [wait/2, wait] and
-// actually varies — two clients handed the same hint must decorrelate,
-// or the herd that was shed together retries together.
-func TestJitteredWait(t *testing.T) {
-	const wait = 100 * time.Millisecond
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 64; i++ {
-		got := jitteredWait(wait)
-		if got < wait/2 || got > wait {
-			t.Fatalf("jitteredWait(%v) = %v outside [%v, %v]", wait, got, wait/2, wait)
-		}
-		seen[got] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("64 draws produced %d distinct waits — no decorrelation", len(seen))
-	}
-	// Degenerate hints pass through unjittered.
-	for _, w := range []time.Duration{0, 1} {
-		if got := jitteredWait(w); got != w {
-			t.Fatalf("jitteredWait(%v) = %v", w, got)
-		}
 	}
 }
 
@@ -304,13 +199,15 @@ func TestParseRetryAfter(t *testing.T) {
 
 // TestRetryAfterMillisecondPrecision: the envelope's retry_after_ms wins
 // over the whole-second header, end to end — a 10ms hint decodes as 10ms,
-// not the 1s the rounded header implies.
+// not the 1s the rounded header implies — and its trace_id wins over the
+// echoed header.
 func TestRetryAfterMillisecondPrecision(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1") // whole-second ceiling of 10ms
+		w.Header().Set(server.TraceHeader, "echoed")
 		w.WriteHeader(http.StatusTooManyRequests)
 		json.NewEncoder(w).Encode(server.ErrorResponse{Error: server.ErrorDetail{
-			Code: server.CodeOverloaded, Message: "queue full", RetryAfterMs: 10,
+			Code: server.CodeOverloaded, Message: "queue full", RetryAfterMs: 10, TraceID: "enveloped",
 		}})
 	}))
 	defer ts.Close()
@@ -318,8 +215,14 @@ func TestRetryAfterMillisecondPrecision(t *testing.T) {
 	if _, err := New(ts.URL).Submit(context.Background(), "alpha", SubmitRequest{ID: "r1"}); !errors.As(err, &apiErr) {
 		t.Fatalf("submit: %v", err)
 	}
+	if apiErr.Status != http.StatusTooManyRequests || apiErr.Code != server.CodeOverloaded {
+		t.Fatalf("shed error: %+v", apiErr)
+	}
 	if apiErr.RetryAfter != 10*time.Millisecond {
 		t.Fatalf("RetryAfter = %v, want 10ms (envelope must beat the rounded header)", apiErr.RetryAfter)
+	}
+	if apiErr.TraceID != "enveloped" {
+		t.Fatalf("TraceID = %q, want the envelope's", apiErr.TraceID)
 	}
 
 	// An HTTP-date header with no envelope still yields a usable hint.
@@ -334,46 +237,5 @@ func TestRetryAfterMillisecondPrecision(t *testing.T) {
 	}
 	if apiErr.RetryAfter <= 0 || apiErr.RetryAfter > 5*time.Second {
 		t.Fatalf("HTTP-date RetryAfter = %v, want (0, 5s]", apiErr.RetryAfter)
-	}
-}
-
-// TestClientTrace: WithTrace stamps every logical call, retries of the
-// same call reuse the ID, and the server echo lands in APIError.TraceID.
-func TestClientTrace(t *testing.T) {
-	var calls atomic.Int32
-	traces := make(chan string, 8)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(server.TraceHeader)
-		traces <- id
-		w.Header().Set(server.TraceHeader, id)
-		if calls.Add(1) <= 1 {
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(server.ErrorResponse{Error: server.ErrorDetail{
-				Code: server.CodeOverloaded, Message: "queue full", RetryAfterMs: 1, TraceID: id,
-			}})
-			return
-		}
-		json.NewEncoder(w).Encode(SubmitResponse{ID: "r1", Epoch: 1})
-	}))
-	defer ts.Close()
-
-	n := 0
-	c := New(ts.URL, WithRetry(2), WithTrace(func() string { n++; return fmt.Sprintf("trace-%d", n) }))
-	if _, err := c.Submit(context.Background(), "alpha", SubmitRequest{ID: "r1", K: 1}); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	first, second := <-traces, <-traces
-	if first != "trace-1" || second != "trace-1" {
-		t.Fatalf("retry changed trace: %q then %q", first, second)
-	}
-
-	// Unretried shed: the envelope's trace comes back on the error.
-	calls.Store(-10)
-	var apiErr *APIError
-	if _, err := c.Submit(context.Background(), "alpha", SubmitRequest{ID: "r2"}); !errors.As(err, &apiErr) {
-		t.Fatalf("shed submit: %v", err)
-	}
-	if apiErr.TraceID != "trace-2" {
-		t.Fatalf("TraceID = %q, want trace-2", apiErr.TraceID)
 	}
 }

@@ -198,12 +198,11 @@ func (s *session) serverConfig() server.Config {
 		Tenants: make(map[string]server.TenantConfig, len(s.models)),
 		// Fixed injectable clock: time-derived observables (uptime) stay
 		// constant across runs of the same trace.
-		Now: func() time.Time { return time.Unix(1700000000, 0) },
+		Now:         func() time.Time { return time.Unix(1700000000, 0) },
+		Parallelism: s.cfg.Parallelism,
 	}
 	for name, m := range s.models {
-		tc := m.tenantConfig()
-		tc.Parallelism = s.cfg.Parallelism
-		cfg.Tenants[name] = tc
+		cfg.Tenants[name] = m.tenantConfig()
 	}
 	return cfg
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"stratrec/internal/adpar"
-	"stratrec/internal/availability"
 	"stratrec/internal/batch"
 	"stratrec/internal/strategy"
 	"stratrec/internal/workforce"
@@ -19,24 +18,11 @@ import (
 
 // Config selects the platform-centric goal and aggregation semantics.
 type Config struct {
-	// Objective is the platform goal F: throughput or pay-off. Ignored
-	// when Goal is set.
+	// Objective is the platform goal F: throughput or pay-off.
 	Objective batch.Objective
-	// Goal, when non-nil, overrides Objective with an arbitrary
-	// (possibly composite, possibly worker-centric) goal — the Section 7
-	// extension surface. BatchStrat keeps its 1/2 guarantee for any
-	// non-negative goal.
-	Goal batch.Goal
 	// Mode chooses sum-case (deploy with all k strategies) or max-case
 	// (deploy with one of the k) workforce aggregation.
 	Mode workforce.Mode
-	// SkipAlternatives disables the ADPaR fallback; unsatisfied requests
-	// are then reported without alternatives.
-	SkipAlternatives bool
-	// WithFrontier additionally attaches the Pareto frontier of
-	// alternative parameters to each unsatisfied request (capped at
-	// adpar.FrontierLimit strategies; larger catalogs silently skip it).
-	WithFrontier bool
 	// ADPaRParallelism caps the worker count of the ADPaR engine's
 	// parallel outer-candidate sweep: 0 uses GOMAXPROCS, 1 forces the
 	// sequential sweep. Either way results are identical; this is purely a
@@ -57,31 +43,18 @@ type StratRec struct {
 }
 
 // New validates the inputs and builds the middle layer, compiling the
-// ADPaR index for the strategy set. Layers configured with
-// SkipAlternatives never consult ADPaR, so they skip the compilation (and
-// its per-|S| memory) entirely.
+// ADPaR index for the strategy set.
 func New(set strategy.Set, models workforce.ModelProvider, cfg Config) (*StratRec, error) {
 	if models == nil {
 		return nil, errors.New("core: nil model provider")
-	}
-	s := &StratRec{strategies: set, models: models, cfg: cfg}
-	if cfg.SkipAlternatives {
-		if err := set.Validate(); err != nil {
-			return nil, err
-		}
-		return s, nil
 	}
 	ix, err := adpar.NewIndex(set) // validates the set
 	if err != nil {
 		return nil, err
 	}
 	ix.Parallelism = cfg.ADPaRParallelism
-	s.adparIdx = ix
-	return s, nil
+	return &StratRec{strategies: set, models: models, cfg: cfg, adparIdx: ix}, nil
 }
-
-// Strategies returns the strategy set the layer recommends from.
-func (s *StratRec) Strategies() strategy.Set { return s.strategies }
 
 // Recommendation is one satisfied deployment request.
 type Recommendation struct {
@@ -99,15 +72,11 @@ type Alternative struct {
 	Request int
 	// Reason explains why the request was not satisfied.
 	Reason string
-	// Solution is the recommended alternative (zero-valued when
-	// SkipAlternatives is set or ADPaR itself cannot help).
+	// Solution is the recommended alternative (zero-valued when ADPaR
+	// itself cannot help).
 	Solution adpar.Solution
 	// HasSolution reports whether Solution is meaningful.
 	HasSolution bool
-	// Frontier holds the Pareto frontier of alternatives when
-	// Config.WithFrontier is set and the catalog is small enough;
-	// Frontier[0] is the l2 optimum (== Solution up to ties).
-	Frontier []adpar.Solution
 }
 
 // Report is the outcome of one batch recommendation round.
@@ -122,13 +91,6 @@ type Report struct {
 	// WorkforceUsed is the total workforce consumed, out of the available
 	// W.
 	WorkforceUsed float64
-}
-
-// RecommendPDF runs a batch round against a worker-availability
-// distribution, using its expectation as W (Section 2.1: "StratRec works
-// with such expected values").
-func (s *StratRec) RecommendPDF(requests []strategy.Request, pdf *availability.PDF) (Report, error) {
-	return s.Recommend(requests, pdf.Expected())
 }
 
 // Recommend runs the Aggregator over a batch of deployment requests with
@@ -148,13 +110,7 @@ func (s *StratRec) Recommend(requests []strategy.Request, W float64) (Report, er
 	vec := mat.Vector(requests, s.cfg.Mode)
 
 	// Step 3: optimization-guided batch deployment.
-	var items []batch.Item
-	if s.cfg.Goal != nil {
-		items = batch.CompositeItems(requests, vec, s.cfg.Goal)
-	} else {
-		items = batch.BuildItems(requests, vec, s.cfg.Objective)
-	}
-	plan := batch.BatchStrat(items, W)
+	plan := batch.BatchStrat(batch.BuildItems(requests, vec, s.cfg.Objective), W)
 
 	report := Report{
 		Objective:     plan.Objective,
@@ -180,28 +136,13 @@ func (s *StratRec) Recommend(requests []strategy.Request, W float64) (Report, er
 		} else {
 			alt.Reason = "available workforce exhausted by higher-priority requests"
 		}
-		if !s.cfg.SkipAlternatives {
-			sol, err := s.adparIdx.Solve(requests[i])
-			if err == nil {
-				alt.Solution = sol
-				alt.HasSolution = true
-				if s.cfg.WithFrontier && len(s.strategies) <= adpar.FrontierLimit {
-					if frontier, err := adpar.Frontier(s.strategies, requests[i]); err == nil {
-						alt.Frontier = frontier
-					}
-				}
-			} else {
-				alt.Reason += "; ADPaR: " + err.Error()
-			}
+		if sol, err := s.adparIdx.Solve(requests[i]); err == nil {
+			alt.Solution = sol
+			alt.HasSolution = true
+		} else {
+			alt.Reason += "; ADPaR: " + err.Error()
 		}
 		report.Alternatives = append(report.Alternatives, alt)
 	}
 	return report, nil
-}
-
-// EstimateParams returns the estimated parameters of strategy stratIdx for
-// request reqIdx at availability w (the Deployment Strategy Modeling step a
-// requester-facing UI would display).
-func (s *StratRec) EstimateParams(reqIdx, stratIdx int, w float64) strategy.Params {
-	return s.models.Models(uint64(reqIdx), stratIdx).ParamsAt(w)
 }

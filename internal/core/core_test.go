@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"stratrec/internal/availability"
 	"stratrec/internal/batch"
 	"stratrec/internal/linmodel"
 	"stratrec/internal/strategy"
@@ -39,12 +38,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(set, nil, Config{}); err == nil {
 		t.Error("nil models accepted")
 	}
-	sr, err := New(set, paperModels(set), Config{})
-	if err != nil {
+	if _, err := New(set, paperModels(set), Config{}); err != nil {
 		t.Fatal(err)
-	}
-	if len(sr.Strategies()) != 4 {
-		t.Errorf("strategies = %d", len(sr.Strategies()))
 	}
 }
 
@@ -116,69 +111,6 @@ func TestPaperRunningExample(t *testing.T) {
 	}
 }
 
-func TestRecommendPDFUsesExpectation(t *testing.T) {
-	set := strategy.PaperExampleStrategies()
-	sr, err := New(set, paperModels(set), Config{Objective: batch.Throughput, Mode: workforce.MaxCase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdf, err := availability.NewPDF([]availability.Outcome{
-		{Proportion: 0.7, Prob: 0.5}, {Proportion: 0.9, Prob: 0.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaPDF, err := sr.RecommendPDF(strategy.PaperExampleRequests(), pdf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := sr.Recommend(strategy.PaperExampleRequests(), 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaPDF.Satisfied) != len(direct.Satisfied) || viaPDF.Objective != direct.Objective {
-		t.Errorf("PDF route diverged: %+v vs %+v", viaPDF, direct)
-	}
-}
-
-func TestSkipAlternatives(t *testing.T) {
-	set := strategy.PaperExampleStrategies()
-	sr, err := New(set, paperModels(set), Config{SkipAlternatives: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := sr.Recommend(strategy.PaperExampleRequests(), 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alt := range report.Alternatives {
-		if alt.HasSolution {
-			t.Errorf("alternative computed despite SkipAlternatives: %+v", alt)
-		}
-		if alt.Reason == "" {
-			t.Error("missing reason")
-		}
-	}
-}
-
-func TestEstimateParams(t *testing.T) {
-	set := strategy.PaperExampleStrategies()
-	models := paperModels(set)
-	sr, err := New(set, models, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At W = 0.8 the estimates equal the Table 1 parameters.
-	for j, s := range set {
-		p := sr.EstimateParams(0, j, 0.8)
-		if math.Abs(p.Quality-s.Quality) > 1e-9 ||
-			math.Abs(p.Cost-s.Cost) > 1e-9 ||
-			math.Abs(p.Latency-s.Latency) > 1e-9 {
-			t.Errorf("strategy %d estimate at 0.8 = %+v, want %+v", j, p, s.Params)
-		}
-	}
-}
-
 func TestObjectiveAccountsPayoff(t *testing.T) {
 	set := strategy.PaperExampleStrategies()
 	sr, err := New(set, paperModels(set), Config{Objective: batch.Payoff, Mode: workforce.MaxCase})
@@ -239,53 +171,6 @@ func TestEndToEndSynthetic(t *testing.T) {
 	for _, alt := range report.Alternatives {
 		if alt.HasSolution && len(alt.Solution.Covered) < inst.Requests[alt.Request].K {
 			t.Errorf("request %d alternative under-covers", alt.Request)
-		}
-	}
-}
-
-func TestCustomGoalOverridesObjective(t *testing.T) {
-	set := strategy.PaperExampleStrategies()
-	goal, err := batch.NewWeightedGoal(
-		[]batch.Goal{batch.ThroughputGoal{}, batch.PayoffGoal{}},
-		[]float64{0.5, 0.5},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := New(set, paperModels(set), Config{Goal: goal, Mode: workforce.MaxCase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := sr.Recommend(strategy.PaperExampleRequests(), 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only d3 is satisfiable; the blended objective is 0.5*1 + 0.5*0.83.
-	if math.Abs(report.Objective-(0.5+0.5*0.83)) > 1e-9 {
-		t.Errorf("composite objective = %v", report.Objective)
-	}
-}
-
-func TestWithFrontierAttachesParetoSet(t *testing.T) {
-	set := strategy.PaperExampleStrategies()
-	sr, err := New(set, paperModels(set), Config{Mode: workforce.MaxCase, WithFrontier: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := sr.Recommend(strategy.PaperExampleRequests(), 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alt := range report.Alternatives {
-		if !alt.HasSolution {
-			continue
-		}
-		if len(alt.Frontier) == 0 {
-			t.Fatalf("request %d: empty frontier", alt.Request)
-		}
-		if math.Abs(alt.Frontier[0].Distance-alt.Solution.Distance) > 1e-9 {
-			t.Errorf("request %d: frontier head %v != solution %v",
-				alt.Request, alt.Frontier[0].Distance, alt.Solution.Distance)
 		}
 	}
 }

@@ -217,9 +217,6 @@ func NewMarketplace(cfg Config, seed int64) *Marketplace {
 	return m
 }
 
-// Workers returns the full pool (read-only view).
-func (m *Marketplace) Workers() []Worker { return m.workers }
-
 // Qualified returns the workers passing a qualification's static filters
 // and the simulated qualification test (skill plus noise against the test
 // threshold).
@@ -259,30 +256,6 @@ func windowIndex(w availability.Window) int {
 		}
 	}
 	return 0
-}
-
-// Sessions simulates one week of arrival/departure history: every active
-// worker contributes one presence interval inside each window they attend.
-// The result feeds availability.EstimateWindow exactly like platform logs
-// would.
-func (m *Marketplace) Sessions() []availability.Session {
-	var sessions []availability.Session
-	for _, w := range m.workers {
-		for wi, win := range StandardWindows() {
-			if m.rng.Float64() >= w.windowActivity[wi] {
-				continue
-			}
-			span := win.Duration()
-			start := win.Start.Add(time.Duration(m.rng.Float64() * 0.7 * float64(span)))
-			length := time.Duration((0.1 + 0.2*m.rng.Float64()) * float64(span))
-			end := start.Add(length)
-			if end.After(win.End) {
-				end = win.End
-			}
-			sessions = append(sessions, availability.Session{WorkerID: w.ID, Arrived: start, Departed: end})
-		}
-	}
-	return sessions
 }
 
 func clamp01(v float64) float64 { return clamp(0, 1, v) }

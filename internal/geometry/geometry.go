@@ -24,16 +24,6 @@ var DimNames = [Dims]string{"quality", "cost", "latency"}
 // Point3 is a point in the 3-D normalized parameter space.
 type Point3 [Dims]float64
 
-// Add returns p + q componentwise.
-func (p Point3) Add(q Point3) Point3 {
-	return Point3{p[0] + q[0], p[1] + q[1], p[2] + q[2]}
-}
-
-// Sub returns p - q componentwise.
-func (p Point3) Sub(q Point3) Point3 {
-	return Point3{p[0] - q[0], p[1] - q[1], p[2] - q[2]}
-}
-
 // Max returns the componentwise maximum of p and q.
 func (p Point3) Max(q Point3) Point3 {
 	return Point3{math.Max(p[0], q[0]), math.Max(p[1], q[1]), math.Max(p[2], q[2])}
@@ -44,24 +34,10 @@ func (p Point3) Min(q Point3) Point3 {
 	return Point3{math.Min(p[0], q[0]), math.Min(p[1], q[1]), math.Min(p[2], q[2])}
 }
 
-// ClampUnit clamps every coordinate of p into [0, 1].
-func (p Point3) ClampUnit() Point3 {
-	var r Point3
-	for i, v := range p {
-		r[i] = math.Min(1, math.Max(0, v))
-	}
-	return r
-}
-
 // DominatedBy reports whether p <= q in every coordinate, i.e. whether the
 // strategy point p is covered by the deployment bound q.
 func (p Point3) DominatedBy(q Point3) bool {
 	return p[0] <= q[0] && p[1] <= q[1] && p[2] <= q[2]
-}
-
-// StrictlyDominatedBy reports whether p <= q everywhere and p < q somewhere.
-func (p Point3) StrictlyDominatedBy(q Point3) bool {
-	return p.DominatedBy(q) && (p[0] < q[0] || p[1] < q[1] || p[2] < q[2])
 }
 
 // Dist returns the Euclidean (l2) distance between p and q. This is the
@@ -76,24 +52,6 @@ func (p Point3) Dist(q Point3) float64 {
 func (p Point3) Dist2(q Point3) float64 {
 	d0, d1, d2 := p[0]-q[0], p[1]-q[1], p[2]-q[2]
 	return d0*d0 + d1*d1 + d2*d2
-}
-
-// Norm2 returns the squared Euclidean norm of p.
-func (p Point3) Norm2() float64 {
-	return p[0]*p[0] + p[1]*p[1] + p[2]*p[2]
-}
-
-// Norm returns the Euclidean norm of p.
-func (p Point3) Norm() float64 { return math.Sqrt(p.Norm2()) }
-
-// InUnitCube reports whether every coordinate lies in [0, 1].
-func (p Point3) InUnitCube() bool {
-	for _, v := range p {
-		if v < 0 || v > 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the point with three decimals, e.g. "(0.200, 0.330, 0.280)".
@@ -111,29 +69,6 @@ type Rect3 struct {
 // RectFromPoint returns the degenerate box holding a single point.
 func RectFromPoint(p Point3) Rect3 { return Rect3{Lo: p, Hi: p} }
 
-// Valid reports whether Lo <= Hi in every coordinate.
-func (r Rect3) Valid() bool { return r.Lo.DominatedBy(r.Hi) }
-
-// Contains reports whether p lies inside r (inclusive on all faces).
-func (r Rect3) Contains(p Point3) bool {
-	return r.Lo.DominatedBy(p) && p.DominatedBy(r.Hi)
-}
-
-// ContainsRect reports whether s lies completely inside r.
-func (r Rect3) ContainsRect(s Rect3) bool {
-	return r.Lo.DominatedBy(s.Lo) && s.Hi.DominatedBy(r.Hi)
-}
-
-// Intersects reports whether r and s share at least one point.
-func (r Rect3) Intersects(s Rect3) bool {
-	for i := 0; i < Dims; i++ {
-		if r.Hi[i] < s.Lo[i] || s.Hi[i] < r.Lo[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Union returns the smallest box containing both r and s.
 func (r Rect3) Union(s Rect3) Rect3 {
 	return Rect3{Lo: r.Lo.Min(s.Lo), Hi: r.Hi.Max(s.Hi)}
@@ -142,34 +77,6 @@ func (r Rect3) Union(s Rect3) Rect3 {
 // Extend returns the smallest box containing r and the point p.
 func (r Rect3) Extend(p Point3) Rect3 {
 	return Rect3{Lo: r.Lo.Min(p), Hi: r.Hi.Max(p)}
-}
-
-// Volume returns the volume of the box (product of side lengths).
-func (r Rect3) Volume() float64 {
-	v := 1.0
-	for i := 0; i < Dims; i++ {
-		side := r.Hi[i] - r.Lo[i]
-		if side < 0 {
-			return 0
-		}
-		v *= side
-	}
-	return v
-}
-
-// Margin returns the sum of the side lengths (half the surface "perimeter"),
-// the tie-breaking measure used by R*-style node splits.
-func (r Rect3) Margin() float64 {
-	m := 0.0
-	for i := 0; i < Dims; i++ {
-		m += math.Max(0, r.Hi[i]-r.Lo[i])
-	}
-	return m
-}
-
-// Enlargement returns how much r's volume grows when extended to contain s.
-func (r Rect3) Enlargement(s Rect3) float64 {
-	return r.Union(s).Volume() - r.Volume()
 }
 
 // String renders the box as "[lo, hi]".
@@ -207,17 +114,4 @@ func Covered(points []Point3, bound Point3) []int {
 		}
 	}
 	return idx
-}
-
-// BoundingBox returns the smallest box containing every point. It panics if
-// points is empty.
-func BoundingBox(points []Point3) Rect3 {
-	if len(points) == 0 {
-		panic("geometry: BoundingBox of empty point set")
-	}
-	r := RectFromPoint(points[0])
-	for _, p := range points[1:] {
-		r = r.Extend(p)
-	}
-	return r
 }

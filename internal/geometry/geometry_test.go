@@ -9,15 +9,12 @@ import (
 
 func pt(a, b, c float64) Point3 { return Point3{a, b, c} }
 
+// inside reports whether box r lies completely inside box s.
+func inside(r, s Rect3) bool { return s.Lo.DominatedBy(r.Lo) && r.Hi.DominatedBy(s.Hi) }
+
 func TestPointArithmetic(t *testing.T) {
 	p := pt(0.1, 0.2, 0.3)
 	q := pt(0.4, 0.1, 0.3)
-	if got := p.Add(q); got != pt(0.5, 0.30000000000000004, 0.6) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := q.Sub(p); got != pt(0.30000000000000004, -0.1, 0) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := p.Max(q); got != pt(0.4, 0.2, 0.3) {
 		t.Errorf("Max = %v", got)
 	}
@@ -26,28 +23,19 @@ func TestPointArithmetic(t *testing.T) {
 	}
 }
 
-func TestClampUnit(t *testing.T) {
-	if got := pt(-0.5, 1.5, 0.5).ClampUnit(); got != pt(0, 1, 0.5) {
-		t.Errorf("ClampUnit = %v", got)
-	}
-}
-
 func TestDominance(t *testing.T) {
 	cases := []struct {
-		p, q           Point3
-		dom, strictDom bool
+		p, q Point3
+		dom  bool
 	}{
-		{pt(0.1, 0.2, 0.3), pt(0.1, 0.2, 0.3), true, false},
-		{pt(0.1, 0.2, 0.3), pt(0.2, 0.2, 0.3), true, true},
-		{pt(0.1, 0.2, 0.3), pt(0.2, 0.1, 0.3), false, false},
-		{pt(0, 0, 0), pt(1, 1, 1), true, true},
+		{pt(0.1, 0.2, 0.3), pt(0.1, 0.2, 0.3), true},
+		{pt(0.1, 0.2, 0.3), pt(0.2, 0.2, 0.3), true},
+		{pt(0.1, 0.2, 0.3), pt(0.2, 0.1, 0.3), false},
+		{pt(0, 0, 0), pt(1, 1, 1), true},
 	}
 	for _, c := range cases {
 		if got := c.p.DominatedBy(c.q); got != c.dom {
 			t.Errorf("DominatedBy(%v, %v) = %v, want %v", c.p, c.q, got, c.dom)
-		}
-		if got := c.p.StrictlyDominatedBy(c.q); got != c.strictDom {
-			t.Errorf("StrictlyDominatedBy(%v, %v) = %v, want %v", c.p, c.q, got, c.strictDom)
 		}
 	}
 }
@@ -60,21 +48,6 @@ func TestDist(t *testing.T) {
 	if got := p.Dist2(q); math.Abs(got-9) > 1e-12 {
 		t.Errorf("Dist2 = %v, want 9", got)
 	}
-	if got := q.Norm(); math.Abs(got-3) > 1e-12 {
-		t.Errorf("Norm = %v, want 3", got)
-	}
-}
-
-func TestInUnitCube(t *testing.T) {
-	if !pt(0, 0.5, 1).InUnitCube() {
-		t.Error("point inside unit cube reported outside")
-	}
-	if pt(0, 0.5, 1.01).InUnitCube() {
-		t.Error("point outside unit cube reported inside")
-	}
-	if pt(-0.01, 0.5, 1).InUnitCube() {
-		t.Error("negative coordinate reported inside")
-	}
 }
 
 func TestPointString(t *testing.T) {
@@ -83,79 +56,16 @@ func TestPointString(t *testing.T) {
 	}
 }
 
-func TestRectBasics(t *testing.T) {
-	r := Rect3{Lo: pt(0, 0, 0), Hi: pt(1, 1, 1)}
-	if !r.Valid() {
-		t.Fatal("unit cube invalid")
-	}
-	if !r.Contains(pt(0.5, 0.5, 0.5)) || !r.Contains(pt(0, 0, 0)) || !r.Contains(pt(1, 1, 1)) {
-		t.Error("unit cube should contain interior and corners")
-	}
-	if r.Contains(pt(1.1, 0.5, 0.5)) {
-		t.Error("unit cube should not contain exterior point")
-	}
-	if v := r.Volume(); v != 1 {
-		t.Errorf("Volume = %v", v)
-	}
-	if m := r.Margin(); m != 3 {
-		t.Errorf("Margin = %v", m)
-	}
-	inner := Rect3{Lo: pt(0.2, 0.2, 0.2), Hi: pt(0.4, 0.4, 0.4)}
-	if !r.ContainsRect(inner) {
-		t.Error("unit cube should contain inner box")
-	}
-	if inner.ContainsRect(r) {
-		t.Error("inner box should not contain unit cube")
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := Rect3{Lo: pt(0, 0, 0), Hi: pt(0.5, 0.5, 0.5)}
-	b := Rect3{Lo: pt(0.5, 0.5, 0.5), Hi: pt(1, 1, 1)}
-	c := Rect3{Lo: pt(0.6, 0.6, 0.6), Hi: pt(1, 1, 1)}
-	if !a.Intersects(b) {
-		t.Error("touching boxes should intersect")
-	}
-	if a.Intersects(c) {
-		t.Error("disjoint boxes should not intersect")
-	}
-}
-
 func TestRectUnionExtend(t *testing.T) {
 	a := Rect3{Lo: pt(0, 0, 0), Hi: pt(0.2, 0.2, 0.2)}
 	b := Rect3{Lo: pt(0.5, 0.1, 0), Hi: pt(0.6, 0.9, 0.1)}
 	u := a.Union(b)
-	if !u.ContainsRect(a) || !u.ContainsRect(b) {
+	if !inside(a, u) || !inside(b, u) {
 		t.Errorf("union %v does not contain operands", u)
 	}
 	e := a.Extend(pt(1, 1, 1))
-	if !e.Contains(pt(1, 1, 1)) || !e.ContainsRect(a) {
+	if !inside(RectFromPoint(pt(1, 1, 1)), e) || !inside(a, e) {
 		t.Errorf("extend %v missing point or original box", e)
-	}
-}
-
-func TestEnlargement(t *testing.T) {
-	a := Rect3{Lo: pt(0, 0, 0), Hi: pt(1, 1, 1)}
-	if e := a.Enlargement(Rect3{Lo: pt(0.5, 0.5, 0.5), Hi: pt(0.6, 0.6, 0.6)}); e != 0 {
-		t.Errorf("contained box should not enlarge, got %v", e)
-	}
-	small := Rect3{Lo: pt(0, 0, 0), Hi: pt(1, 1, 0.5)}
-	if e := small.Enlargement(a); math.Abs(e-0.5) > 1e-12 {
-		t.Errorf("Enlargement = %v, want 0.5", e)
-	}
-}
-
-func TestDegenerateVolume(t *testing.T) {
-	r := Rect3{Lo: pt(0.5, 0, 0), Hi: pt(0.5, 1, 1)}
-	if v := r.Volume(); v != 0 {
-		t.Errorf("flat box volume = %v", v)
-	}
-	bad := Rect3{Lo: pt(1, 0, 0), Hi: pt(0, 1, 1)}
-	if v := bad.Volume(); v != 0 {
-		t.Errorf("inverted box volume = %v", v)
-	}
-	if bad.Valid() {
-		t.Error("inverted box should be invalid")
 	}
 }
 
@@ -169,21 +79,6 @@ func TestCoverCountAndCovered(t *testing.T) {
 	if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 {
 		t.Errorf("Covered = %v", idx)
 	}
-}
-
-func TestBoundingBox(t *testing.T) {
-	pts := []Point3{pt(0.2, 0.9, 0.4), pt(0.1, 0.5, 0.6), pt(0.3, 0.7, 0.2)}
-	bb := BoundingBox(pts)
-	want := Rect3{Lo: pt(0.1, 0.5, 0.2), Hi: pt(0.3, 0.9, 0.6)}
-	if bb != want {
-		t.Errorf("BoundingBox = %v, want %v", bb, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("BoundingBox of empty set should panic")
-		}
-	}()
-	BoundingBox(nil)
 }
 
 // randomPoint draws coordinates in [0, 1].
@@ -245,8 +140,7 @@ func TestPropertyUnionContains(t *testing.T) {
 		a := Rect3{Lo: p1.Min(p2), Hi: p1.Max(p2)}
 		b := Rect3{Lo: q1.Min(q2), Hi: q1.Max(q2)}
 		u := a.Union(b)
-		return u.ContainsRect(a) && u.ContainsRect(b) &&
-			u.Volume() >= a.Volume() && u.Volume() >= b.Volume()
+		return inside(a, u) && inside(b, u)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

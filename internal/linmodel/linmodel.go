@@ -16,7 +16,6 @@
 package linmodel
 
 import (
-	"fmt"
 	"math"
 
 	"stratrec/internal/strategy"
@@ -46,11 +45,6 @@ type Interval struct {
 
 // Empty reports whether no availability satisfies the constraint.
 func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
-
-// Intersect returns the intersection of two intervals.
-func (iv Interval) Intersect(other Interval) Interval {
-	return Interval{Lo: math.Max(iv.Lo, other.Lo), Hi: math.Min(iv.Hi, other.Hi)}
-}
 
 // emptyInterval is the canonical empty interval.
 var emptyInterval = Interval{Lo: 1, Hi: 0}
@@ -98,18 +92,6 @@ func (m Model) FeasibleInterval(threshold float64, dir Direction) Interval {
 	return Interval{Lo: cross, Hi: 1}
 }
 
-// WorkforceFor returns the minimum availability w in [0,1] for which the
-// modeled parameter meets the threshold, or Infeasible if none does. This
-// is the paper's "solve Equation 4 for w under the equality condition" step
-// with the boundary cases made explicit.
-func (m Model) WorkforceFor(threshold float64, dir Direction) float64 {
-	iv := m.FeasibleInterval(threshold, dir)
-	if iv.Empty() {
-		return Infeasible
-	}
-	return iv.Lo
-}
-
 // ParamModels bundles the three per-parameter models of one (strategy,
 // deployment) combination.
 type ParamModels struct {
@@ -128,14 +110,6 @@ func (pm ParamModels) ParamsAt(w float64) strategy.Params {
 	}
 }
 
-// FeasibleInterval intersects the three per-parameter feasibility
-// intervals for deployment thresholds d.
-func (pm ParamModels) FeasibleInterval(d strategy.Params) Interval {
-	iv := pm.Quality.FeasibleInterval(d.Quality, LowerBound)
-	iv = iv.Intersect(pm.Cost.FeasibleInterval(d.Cost, UpperBound))
-	return iv.Intersect(pm.Latency.FeasibleInterval(d.Latency, UpperBound))
-}
-
 // Requirement computes the workforce requirement w_ij of deploying request
 // d with this model set: the smallest availability at which all three
 // thresholds hold simultaneously (the lower end of the intersected feasible
@@ -145,10 +119,10 @@ func (pm ParamModels) FeasibleInterval(d strategy.Params) Interval {
 // paper's max(w_q, w_c, w_l) (Section 3.2, Figure 3a).
 //
 // It is the catalog scan's kernel, so it intersects the three
-// FeasibleInterval results in one pass, with the builtin max and min (the
-// same bits as Intersect's math.Max and math.Min) and returning Infeasible
-// as soon as the running intersection is empty. Its answer is
-// bit-identical to the lower end of FeasibleInterval(d) for finite
+// Model.FeasibleInterval results in one pass, with the builtin max and min
+// (the same bits as math.Max and math.Min) and returning Infeasible as
+// soon as the running intersection is empty. Its answer is bit-identical
+// to the lower end of the plain three-way intersection for finite
 // coefficients and thresholds, the only domain that reaches it: JSON
 // cannot carry NaN or Inf, and synthetic and fitted models are finite.
 // There an empty intersection stays empty, so the early exit changes no
@@ -171,33 +145,6 @@ func (pm ParamModels) Requirement(d strategy.Params) float64 {
 		return Infeasible
 	}
 	return iv.Lo
-}
-
-// Breakdown reports the three per-parameter minimum requirements
-// (w_q, w_c, w_l) of Figure 3a, for diagnostics and the worked-example
-// tests.
-func (pm ParamModels) Breakdown(d strategy.Params) (wq, wc, wl float64) {
-	return pm.Quality.WorkforceFor(d.Quality, LowerBound),
-		pm.Cost.WorkforceFor(d.Cost, UpperBound),
-		pm.Latency.WorkforceFor(d.Latency, UpperBound)
-}
-
-// Validate sanity-checks a model set against the empirically validated
-// directions of Section 5.1.1 (Table 6): quality and cost should not
-// decrease with availability and latency should not increase. Violations
-// are reported, not fatal, because the paper notes StratRec could be
-// adapted to tasks without these relationships.
-func (pm ParamModels) Validate() error {
-	if pm.Quality.Alpha < 0 {
-		return fmt.Errorf("linmodel: quality slope %v is negative", pm.Quality.Alpha)
-	}
-	if pm.Cost.Alpha < 0 {
-		return fmt.Errorf("linmodel: cost slope %v is negative", pm.Cost.Alpha)
-	}
-	if pm.Latency.Alpha > 0 {
-		return fmt.Errorf("linmodel: latency slope %v is positive", pm.Latency.Alpha)
-	}
-	return nil
 }
 
 func clamp01(v float64) float64 {

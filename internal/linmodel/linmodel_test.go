@@ -27,6 +27,18 @@ func TestModelAt(t *testing.T) {
 	}
 }
 
+// WorkforceFor returns the minimum availability w in [0,1] for which the
+// modeled parameter meets the threshold, or Infeasible if none does. This
+// is the paper's "solve Equation 4 for w under the equality condition" step
+// with the boundary cases made explicit.
+func (m Model) WorkforceFor(threshold float64, dir Direction) float64 {
+	iv := m.FeasibleInterval(threshold, dir)
+	if iv.Empty() {
+		return Infeasible
+	}
+	return iv.Lo
+}
+
 func TestWorkforceForLowerBound(t *testing.T) {
 	m := Model{Alpha: 0.5, Beta: 0.4} // quality from 0.4 to 0.9
 	cases := []struct {
@@ -106,6 +118,14 @@ func TestIntervalIntersect(t *testing.T) {
 	}
 }
 
+// Breakdown reports the three per-parameter minimum requirements
+// (w_q, w_c, w_l) of Figure 3a, whose maximum is the paper's requirement.
+func (pm ParamModels) Breakdown(d strategy.Params) (wq, wc, wl float64) {
+	return pm.Quality.WorkforceFor(d.Quality, LowerBound),
+		pm.Cost.WorkforceFor(d.Cost, UpperBound),
+		pm.Latency.WorkforceFor(d.Latency, UpperBound)
+}
+
 // tableSeqIndCro returns the Table 6 translation SEQ-IND-CRO models.
 func tableSeqIndCro() ParamModels {
 	return ParamModels{
@@ -171,28 +191,6 @@ func TestRequirementInfeasibleQuality(t *testing.T) {
 	d := strategy.Params{Quality: 0.99, Cost: 1, Latency: 1} // max quality is 0.94
 	if got := pm.Requirement(d); !math.IsInf(got, 1) {
 		t.Errorf("Requirement = %v, want Infeasible", got)
-	}
-}
-
-func TestValidateDirections(t *testing.T) {
-	good := tableSeqIndCro()
-	if err := good.Validate(); err != nil {
-		t.Errorf("Table 6 models rejected: %v", err)
-	}
-	bad := good
-	bad.Quality.Alpha = -0.1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative quality slope accepted")
-	}
-	bad = good
-	bad.Cost.Alpha = -0.1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative cost slope accepted")
-	}
-	bad = good
-	bad.Latency.Alpha = 0.1
-	if err := bad.Validate(); err == nil {
-		t.Error("positive latency slope accepted")
 	}
 }
 

@@ -8,6 +8,20 @@ import (
 	"stratrec/internal/strategy"
 )
 
+// FeasibleInterval intersects the three per-parameter feasibility
+// intervals for deployment thresholds d: the composition the fused
+// Requirement kernel replaces.
+func (pm ParamModels) FeasibleInterval(d strategy.Params) Interval {
+	iv := pm.Quality.FeasibleInterval(d.Quality, LowerBound)
+	iv = iv.Intersect(pm.Cost.FeasibleInterval(d.Cost, UpperBound))
+	return iv.Intersect(pm.Latency.FeasibleInterval(d.Latency, UpperBound))
+}
+
+// Intersect returns the intersection of two intervals.
+func (iv Interval) Intersect(other Interval) Interval {
+	return Interval{Lo: math.Max(iv.Lo, other.Lo), Hi: math.Min(iv.Hi, other.Hi)}
+}
+
 // referenceRequirement is the requirement as the composition of the
 // per-parameter feasible intervals, the form the fused Requirement kernel
 // must reproduce bit for bit.

@@ -1,7 +1,7 @@
 // Package linreg is a hand-rolled ordinary-least-squares simple linear
 // regression, the fitting machinery behind the paper's Table 6: estimating
 // (alpha, beta) of p = alpha*w + beta from observed (availability, parameter)
-// pairs, with R², standard errors, confidence intervals and a slope t-test.
+// pairs, with R², the slope's standard error and its t-test.
 //
 // The Go ecosystem constraint of this reproduction (stdlib only) means no
 // external statistics packages; everything here is implemented from the
@@ -24,7 +24,6 @@ type Fit struct {
 
 	R2       float64 // coefficient of determination
 	SEAlpha  float64 // standard error of the slope
-	SEBeta   float64 // standard error of the intercept
 	Residual float64 // residual standard error (sqrt(SSE/(n-2)))
 }
 
@@ -77,32 +76,8 @@ func OLS(x, y []float64) (Fit, error) {
 		s2 := sse / float64(n-2)
 		fit.Residual = math.Sqrt(s2)
 		fit.SEAlpha = math.Sqrt(s2 / sxx)
-		fit.SEBeta = math.Sqrt(s2 * (1/float64(n) + mx*mx/sxx))
 	}
 	return fit, nil
-}
-
-// Predict evaluates the fitted line at x.
-func (f Fit) Predict(x float64) float64 { return f.Alpha*x + f.Beta }
-
-// ConfidenceInterval returns the (lo, hi) confidence interval of the slope
-// at the given level (e.g. 0.90 for the paper's 90% interval). It requires
-// n > 2; with n <= 2 the interval is degenerate at the estimate.
-func (f Fit) ConfidenceInterval(level float64) (lo, hi float64) {
-	if f.N <= 2 || f.SEAlpha == 0 {
-		return f.Alpha, f.Alpha
-	}
-	t := stats.StudentTQuantile(1-(1-level)/2, float64(f.N-2))
-	return f.Alpha - t*f.SEAlpha, f.Alpha + t*f.SEAlpha
-}
-
-// InterceptConfidenceInterval is ConfidenceInterval for the intercept.
-func (f Fit) InterceptConfidenceInterval(level float64) (lo, hi float64) {
-	if f.N <= 2 || f.SEBeta == 0 {
-		return f.Beta, f.Beta
-	}
-	t := stats.StudentTQuantile(1-(1-level)/2, float64(f.N-2))
-	return f.Beta - t*f.SEBeta, f.Beta + t*f.SEBeta
 }
 
 // SlopePValue returns the two-sided p-value of H0: alpha = 0, the

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,9 +14,11 @@ import (
 
 // Module-wide reachability. Every non-test function must be reached
 // from a program — a main, an init function or a package-level var
-// initializer — or from a Test, Fuzz, Benchmark or Example function.
-// What no program reaches but a test does is logged: the code only
-// tests keep alive. What nothing reaches fails the check.
+// initializer. Every package is internal to the module, so a function
+// only tests reach is dead to every program: it fails the check unless
+// reachAllowList names it with a reason. A reference oracle or an
+// accessor only tests compare against belongs in a _test.go file of its
+// package, where in-package tests may declare methods too.
 //
 // The rules over-approximate, so every function the check names is
 // safe to act on:
@@ -47,7 +50,21 @@ func stdlibCalls(name string) bool {
 	return false
 }
 
-// reachReport is one run's verdict on the non-test functions.
+// reachAllowList names the non-test functions that may stay reached only
+// from tests, each with the reason it stays. A key is a function name
+// (pkg.Func, pkg.T.M or pkg.(*T).M) or a module-relative directory
+// ending in "/", which covers every such function declared directly in
+// it. An entry that no longer covers such a function fails the check, so
+// the list cannot go stale.
+var reachAllowList = map[string]string{
+	"adpar.(*Index).SolveParallel":  "the root bench_test.go forces the parallel sweep on small catalogs with it",
+	"internal/groups/":              "team formation (FormTeam, BestTeam, Partition, SkillSpread) waits for a change of its own that deletes it with its 8 tests; internal/crowd calls only Evaluate",
+	"internal/knapsack/":            "the package waits for a change of its own that deletes it with its 13 tests and folds SolveDP into batch's Theorem 1 check",
+	"stream.(*Manager).Alternative": "stratbench's replay installs a shared index with AttachIndex, and Alternative and Index are all that read it",
+	"stream.(*Manager).Index":       "stratbench's replay installs a shared index with AttachIndex, and Alternative and Index are all that read it",
+}
+
+// reachReport classifies the non-test functions of one run.
 type reachReport struct {
 	fset     *token.FileSet
 	dead     []*cgNode // reached by nothing
@@ -257,15 +274,58 @@ func (r reachReport) lines(n *cgNode) int {
 	return r.fset.Position(n.decl.End()).Line - r.fset.Position(start).Line + 1
 }
 
+// file returns the file that declares n, relative to root.
+func (r reachReport) file(root string, n *cgNode) string {
+	name := r.fset.Position(n.decl.Pos()).Filename
+	if rel, err := filepath.Rel(root, name); err == nil {
+		return rel
+	}
+	return name
+}
+
 // describe renders n as "file:line: pkg.Func (N lines)", file relative
 // to root.
 func (r reachReport) describe(root string, n *cgNode) string {
 	pos := r.fset.Position(n.decl.Pos())
-	file, err := filepath.Rel(root, pos.Filename)
-	if err != nil {
-		file = pos.Filename
+	return fmt.Sprintf("%s:%d: %s (%d lines)", r.file(root, n), pos.Line, r.name(n), r.lines(n))
+}
+
+// allowed returns the entry of allow that covers n: its name, or else
+// the directory, relative to root, that declares it.
+func (r reachReport) allowed(root string, allow map[string]string, n *cgNode) (string, bool) {
+	for _, key := range []string{r.name(n), filepath.ToSlash(filepath.Dir(r.file(root, n))) + "/"} {
+		if _, ok := allow[key]; ok {
+			return key, true
+		}
 	}
-	return fmt.Sprintf("%s:%d: %s (%d lines)", file, pos.Line, r.name(n), r.lines(n))
+	return "", false
+}
+
+// verdict lists every breach of the rule: each function nothing reaches
+// and each function only tests reach that allow does not cover, in
+// source order, then, sorted, each entry of allow that covers no
+// function only tests reach.
+func (r reachReport) verdict(root string, allow map[string]string) []string {
+	var out []string
+	for _, n := range r.dead {
+		out = append(out, r.describe(root, n)+" is reached by no main and no test")
+	}
+	listed := make(map[string]bool)
+	for _, n := range r.testOnly {
+		if key, ok := r.allowed(root, allow, n); ok {
+			listed[key] = true
+			continue
+		}
+		out = append(out, r.describe(root, n)+" is reached only from tests: delete it, move it into a _test.go file, or allow-list it with a reason")
+	}
+	var stale []string
+	for name := range allow {
+		if !listed[name] {
+			stale = append(stale, "allow-list entry "+name+" names no function reached only from tests")
+		}
+	}
+	sort.Strings(stale)
+	return append(out, stale...)
 }
 
 func TestReachabilityFixture(t *testing.T) {
@@ -287,11 +347,37 @@ func TestReachabilityFixture(t *testing.T) {
 	if got, want := names(r.testOnly), "reach.onlyTested"; got != want {
 		t.Errorf("reached only from tests = %q, want %q", got, want)
 	}
+
+	root, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := []string{
+		"reach/main.go:53: reach.uncalled (2 lines) is reached by no main and no test",
+		"reach/main.go:58: reach.unusedLabel.String (2 lines) is reached by no main and no test",
+	}
+	for _, c := range []struct {
+		name  string
+		allow map[string]string
+		want  []string
+	}{
+		{"unlisted", nil, append(dead,
+			"reach/main.go:50: reach.onlyTested (2 lines) is reached only from tests: delete it, move it into a _test.go file, or allow-list it with a reason")},
+		{"listed", map[string]string{"reach.onlyTested": "fixture"}, dead},
+		{"directory", map[string]string{"reach/": "fixture"}, dead},
+		{"stale", map[string]string{"reach.onlyTested": "fixture", "reach.main": "a program reaches it", "reach.gone": "deleted", "gone/": "deleted"}, append(dead,
+			"allow-list entry gone/ names no function reached only from tests",
+			"allow-list entry reach.gone names no function reached only from tests",
+			"allow-list entry reach.main names no function reached only from tests")},
+	} {
+		if got := r.verdict(root, c.allow); !slices.Equal(got, c.want) {
+			t.Errorf("%s: verdict =\n%s\nwant\n%s", c.name, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
+		}
+	}
 }
 
-// TestReachability holds the module to the rule above and logs the
-// functions only tests reach, with their total, as the backlog of code
-// to delete or to put to use.
+// TestReachability holds the module to the rule above. It logs each
+// allow-listed function with its reason.
 func TestReachability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module with its tests")
@@ -305,13 +391,12 @@ func TestReachability(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := reachModule(targets)
-	lines := 0
 	for _, n := range r.testOnly {
-		t.Log(r.describe(root, n))
-		lines += r.lines(n)
+		if key, ok := r.allowed(root, reachAllowList, n); ok {
+			t.Logf("%s, allowed: %s", r.describe(root, n), reachAllowList[key])
+		}
 	}
-	t.Logf("%d functions (%d lines) are reached only from tests", len(r.testOnly), lines)
-	for _, n := range r.dead {
-		t.Errorf("%s is reached by no main and no test", r.describe(root, n))
+	for _, v := range r.verdict(root, reachAllowList) {
+		t.Error(v)
 	}
 }

@@ -2,59 +2,32 @@ package rtree
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"stratrec/internal/geometry"
 )
 
-func benchTree(n int, seed int64) (*Tree, []geometry.Point3) {
+func benchPoints(n int, seed int64) []geometry.Point3 {
 	rng := rand.New(rand.NewSource(seed))
-	tr := New()
 	pts := make([]geometry.Point3, n)
 	for i := range pts {
 		pts[i] = geometry.Point3{rng.Float64(), rng.Float64(), rng.Float64()}
-		tr.Insert(pts[i], i)
 	}
-	return tr, pts
+	return pts
 }
 
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]geometry.Point3, 10000)
-	for i := range pts {
-		pts[i] = geometry.Point3{rng.Float64(), rng.Float64(), rng.Float64()}
-	}
+func BenchmarkBulkLoad(b *testing.B) {
+	pts := benchPoints(20000, 3)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := New()
-		for j, p := range pts {
-			tr.Insert(p, j)
-		}
-	}
-}
-
-func BenchmarkSearch(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		tr, _ := benchTree(n, int64(n))
-		rect := geometry.Rect3{
-			Lo: geometry.Point3{0.2, 0.2, 0.2},
-			Hi: geometry.Point3{0.4, 0.4, 0.4},
-		}
-		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tr.Search(rect)
-			}
-		})
+	for b.Loop() {
+		BulkLoadPoints(pts)
 	}
 }
 
 func BenchmarkNodesWalk(b *testing.B) {
-	tr, _ := benchTree(10000, 2)
+	tr := BulkLoadPoints(benchPoints(10000, 2))
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		count := 0
 		tr.Nodes(func(NodeInfo) bool { count++; return true })
 	}

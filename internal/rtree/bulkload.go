@@ -10,8 +10,8 @@ import (
 // This file implements Sort-Tile-Recursive (STR) bulk loading (Leutenegger
 // et al.): packing a static point set into a near-full R-tree in one pass.
 // Baseline3 builds its index over the whole strategy catalog up front, so
-// bulk loading replaces |S| one-at-a-time inserts (each paying split costs)
-// with a sort-and-slice construction whose leaves are ~100% full.
+// one sort-and-slice construction whose leaves are ~100% full is all the
+// tree needs.
 
 // BulkLoad builds a tree from entries using STR packing. The input slice is
 // not modified. An empty input yields an empty tree.

@@ -11,8 +11,8 @@ import (
 
 func TestBulkLoadEmpty(t *testing.T) {
 	tr := BulkLoad(nil)
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Errorf("empty bulk load: Len=%d Height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || tr.height() != 0 {
+		t.Errorf("empty bulk load: Len=%d height=%d", tr.Len(), tr.height())
 	}
 }
 
@@ -24,7 +24,7 @@ func TestBulkLoadSmall(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	ids := tr.Search(geometry.Rect3{Lo: pt(0, 0, 0), Hi: pt(1, 1, 1)})
+	ids := tr.search(geometry.Rect3{Lo: pt(0, 0, 0), Hi: pt(1, 1, 1)})
 	if len(ids) != 3 {
 		t.Errorf("full search found %d", len(ids))
 	}
@@ -57,7 +57,7 @@ func TestBulkLoadNodeInvariants(t *testing.T) {
 	}
 	leafTotal := 0
 	tr.Nodes(func(info NodeInfo) bool {
-		if !info.MBB.Valid() {
+		if !info.MBB.Lo.DominatedBy(info.MBB.Hi) {
 			t.Errorf("invalid MBB at depth %d", info.Depth)
 		}
 		if info.Leaf {
@@ -70,14 +70,6 @@ func TestBulkLoadNodeInvariants(t *testing.T) {
 	})
 	if leafTotal != n {
 		t.Errorf("leaf total = %d, want %d", leafTotal, n)
-	}
-	// STR packing should be shallower or equal to incremental insertion.
-	inc := New()
-	for i, p := range pts {
-		inc.Insert(p, i)
-	}
-	if tr.Height() > inc.Height() {
-		t.Errorf("bulk height %d > incremental height %d", tr.Height(), inc.Height())
 	}
 }
 
@@ -94,7 +86,7 @@ func TestPropertyBulkLoadSearchMatchesLinear(t *testing.T) {
 			a := pt(rng.Float64(), rng.Float64(), rng.Float64())
 			b := pt(rng.Float64(), rng.Float64(), rng.Float64())
 			rect := geometry.Rect3{Lo: a.Min(b), Hi: a.Max(b)}
-			got := tr.Search(rect)
+			got := tr.search(rect)
 			want := linearSearch(pts, rect)
 			sort.Ints(got)
 			if len(got) != len(want) {
@@ -111,28 +103,4 @@ func TestPropertyBulkLoadSearchMatchesLinear(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
-}
-
-func BenchmarkBulkLoadVsIncremental(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 20000
-	pts := make([]geometry.Point3, n)
-	for i := range pts {
-		pts[i] = pt(rng.Float64(), rng.Float64(), rng.Float64())
-	}
-	b.Run("BulkLoad", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			BulkLoadPoints(pts)
-		}
-	})
-	b.Run("Incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr := New()
-			for j, p := range pts {
-				tr.Insert(p, j)
-			}
-		}
-	})
 }

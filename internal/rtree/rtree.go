@@ -1,22 +1,17 @@
-// Package rtree is a 3-D R-tree over points, the space-partitioning
+// Package rtree is a static 3-D R-tree over points, the space-partitioning
 // substrate behind ADPaR's Baseline3 (Section 5.2.1, "designed by modifying
-// space partitioning data structure R-Tree"). It supports insertion with
-// quadratic node splitting (Guttman's R-tree with the R*-flavored
-// least-enlargement / least-volume choose-subtree heuristic), range search,
-// and a node walker exposing every minimum bounding box together with its
-// subtree point count — the traversal Baseline3 scans for a k-point MBB.
+// space partitioning data structure R-Tree"). A tree is bulk loaded once
+// (Sort-Tile-Recursive packing) and exposes a node walker reporting every
+// minimum bounding box together with its subtree point count — the
+// traversal Baseline3 scans for a k-point MBB.
 package rtree
 
 import (
 	"stratrec/internal/geometry"
 )
 
-const (
-	// MaxEntries is the node fan-out M.
-	MaxEntries = 8
-	// MinEntries is the minimum fill m used on splits.
-	MinEntries = 3
-)
+// MaxEntries is the node fan-out M.
+const MaxEntries = 8
 
 // Tree is an R-tree over 3-D points carrying integer data IDs.
 type Tree struct {
@@ -44,101 +39,6 @@ func New() *Tree { return &Tree{} }
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.size }
 
-// Insert adds a point with its data ID.
-func (t *Tree) Insert(p geometry.Point3, id int) {
-	e := Entry{Point: p, ID: id}
-	if t.root == nil {
-		t.root = &node{leaf: true, mbb: geometry.RectFromPoint(p), entries: []Entry{e}, count: 1}
-		t.size = 1
-		return
-	}
-	split := t.root.insert(e)
-	if split != nil {
-		old := t.root
-		t.root = &node{
-			leaf:     false,
-			mbb:      old.mbb.Union(split.mbb),
-			children: []*node{old, split},
-			count:    old.count + split.count,
-		}
-	}
-	t.size++
-}
-
-// insert adds e into the subtree and returns a new sibling if the node
-// split, nil otherwise.
-func (n *node) insert(e Entry) *node {
-	n.mbb = n.mbb.Extend(e.Point)
-	n.count++
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > MaxEntries {
-			return n.splitLeaf()
-		}
-		return nil
-	}
-	child := n.chooseSubtree(e.Point)
-	split := child.insert(e)
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > MaxEntries {
-			return n.splitInternal()
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child whose MBB needs the least volume enlargement
-// to absorb p, breaking ties by smaller volume then by fewer points.
-func (n *node) chooseSubtree(p geometry.Point3) *node {
-	best := n.children[0]
-	bestEnl := best.mbb.Enlargement(geometry.RectFromPoint(p))
-	for _, c := range n.children[1:] {
-		enl := c.mbb.Enlargement(geometry.RectFromPoint(p))
-		switch {
-		case enl < bestEnl:
-			best, bestEnl = c, enl
-		case enl == bestEnl:
-			if c.mbb.Volume() < best.mbb.Volume() ||
-				(c.mbb.Volume() == best.mbb.Volume() && c.count < best.count) {
-				best = c
-			}
-		}
-	}
-	return best
-}
-
-// splitLeaf performs Guttman's quadratic split on a leaf, keeping one group
-// in n and returning the other as a fresh node.
-func (n *node) splitLeaf() *node {
-	rects := make([]geometry.Rect3, len(n.entries))
-	for i, e := range n.entries {
-		rects[i] = geometry.RectFromPoint(e.Point)
-	}
-	g1, g2 := quadraticSplit(rects)
-	oldEntries := n.entries
-	n.entries = pickEntries(oldEntries, g1)
-	sib := &node{leaf: true, entries: pickEntries(oldEntries, g2)}
-	n.refit()
-	sib.refit()
-	return sib
-}
-
-// splitInternal is the quadratic split for internal nodes.
-func (n *node) splitInternal() *node {
-	rects := make([]geometry.Rect3, len(n.children))
-	for i, c := range n.children {
-		rects[i] = c.mbb
-	}
-	g1, g2 := quadraticSplit(rects)
-	oldChildren := n.children
-	n.children = pickChildren(oldChildren, g1)
-	sib := &node{leaf: false, children: pickChildren(oldChildren, g2)}
-	n.refit()
-	sib.refit()
-	return sib
-}
-
 // refit recomputes mbb and count from current payload.
 func (n *node) refit() {
 	if n.leaf {
@@ -162,127 +62,6 @@ func (n *node) refit() {
 			n.mbb = n.mbb.Union(c.mbb)
 		}
 	}
-}
-
-// quadraticSplit partitions indices 0..len(rects)-1 into two groups using
-// Guttman's quadratic PickSeeds / PickNext, honoring MinEntries.
-func quadraticSplit(rects []geometry.Rect3) (g1, g2 []int) {
-	n := len(rects)
-	// PickSeeds: the pair wasting the most volume if grouped together.
-	s1, s2 := 0, 1
-	worst := -1.0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			waste := rects[i].Union(rects[j]).Volume() - rects[i].Volume() - rects[j].Volume()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	g1 = []int{s1}
-	g2 = []int{s2}
-	mbb1, mbb2 := rects[s1], rects[s2]
-	assigned := make([]bool, n)
-	assigned[s1], assigned[s2] = true, true
-	remaining := n - 2
-	for remaining > 0 {
-		// Force-assign to honor the minimum fill.
-		if len(g1)+remaining == MinEntries {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					g1 = append(g1, i)
-					mbb1 = mbb1.Union(rects[i])
-					assigned[i] = true
-				}
-			}
-			break
-		}
-		if len(g2)+remaining == MinEntries {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					g2 = append(g2, i)
-					mbb2 = mbb2.Union(rects[i])
-					assigned[i] = true
-				}
-			}
-			break
-		}
-		// PickNext: the rect with the greatest preference difference.
-		next, bestDiff := -1, -1.0
-		for i := 0; i < n; i++ {
-			if assigned[i] {
-				continue
-			}
-			d1 := mbb1.Enlargement(rects[i])
-			d2 := mbb2.Enlargement(rects[i])
-			diff := d1 - d2
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > bestDiff {
-				bestDiff, next = diff, i
-			}
-		}
-		d1 := mbb1.Enlargement(rects[next])
-		d2 := mbb2.Enlargement(rects[next])
-		toFirst := d1 < d2 ||
-			(d1 == d2 && (mbb1.Volume() < mbb2.Volume() ||
-				(mbb1.Volume() == mbb2.Volume() && len(g1) <= len(g2))))
-		if toFirst {
-			g1 = append(g1, next)
-			mbb1 = mbb1.Union(rects[next])
-		} else {
-			g2 = append(g2, next)
-			mbb2 = mbb2.Union(rects[next])
-		}
-		assigned[next] = true
-		remaining--
-	}
-	return g1, g2
-}
-
-func pickEntries(entries []Entry, idx []int) []Entry {
-	out := make([]Entry, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, entries[i])
-	}
-	return out
-}
-
-func pickChildren(children []*node, idx []int) []*node {
-	out := make([]*node, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, children[i])
-	}
-	return out
-}
-
-// Search returns the IDs of all points inside rect (inclusive), in
-// unspecified order.
-func (t *Tree) Search(rect geometry.Rect3) []int {
-	var ids []int
-	if t.root == nil {
-		return ids
-	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if !n.mbb.Intersects(rect) {
-			return
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if rect.Contains(e.Point) {
-					ids = append(ids, e.ID)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return ids
 }
 
 // NodeInfo describes one tree node for callers scanning MBBs.
@@ -315,17 +94,4 @@ func (t *Tree) Nodes(fn func(NodeInfo) bool) {
 		return true
 	}
 	walk(t.root, 0)
-}
-
-// Height returns the tree height (0 for an empty tree, 1 for a single leaf).
-func (t *Tree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
 }

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -11,12 +10,54 @@ import (
 
 func pt(a, b, c float64) geometry.Point3 { return geometry.Point3{a, b, c} }
 
+// search returns the IDs of all points inside rect (inclusive), in
+// unspecified order, descending only into nodes whose MBB meets rect: it
+// finds every point exactly when each node's MBB holds its subtree.
+func (t *Tree) search(rect geometry.Rect3) []int {
+	var ids []int
+	if t.root == nil {
+		return ids
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		if !n.mbb.Lo.DominatedBy(rect.Hi) || !rect.Lo.DominatedBy(n.mbb.Hi) {
+			return
+		}
+		if n.leaf {
+			for _, e := range n.entries {
+				if rect.Lo.DominatedBy(e.Point) && e.Point.DominatedBy(rect.Hi) {
+					ids = append(ids, e.ID)
+				}
+			}
+			return
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	return ids
+}
+
+// height returns the tree height (0 for an empty tree, 1 for a single leaf).
+func (t *Tree) height() int {
+	h := 0
+	for n := t.root; n != nil; {
+		h++
+		if n.leaf {
+			break
+		}
+		n = n.children[0]
+	}
+	return h
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := New()
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Errorf("empty tree Len=%d Height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || tr.height() != 0 {
+		t.Errorf("empty tree Len=%d height=%d", tr.Len(), tr.height())
 	}
-	if ids := tr.Search(geometry.Rect3{Hi: pt(1, 1, 1)}); len(ids) != 0 {
+	if ids := tr.search(geometry.Rect3{Hi: pt(1, 1, 1)}); len(ids) != 0 {
 		t.Errorf("empty search = %v", ids)
 	}
 	visited := 0
@@ -26,53 +67,14 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-func TestInsertAndSearchSmall(t *testing.T) {
-	tr := New()
-	pts := []geometry.Point3{
-		pt(0.1, 0.1, 0.1), pt(0.2, 0.9, 0.4), pt(0.8, 0.2, 0.6), pt(0.5, 0.5, 0.5),
-	}
-	for i, p := range pts {
-		tr.Insert(p, i)
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	ids := tr.Search(geometry.Rect3{Lo: pt(0, 0, 0), Hi: pt(0.5, 0.5, 0.5)})
-	sort.Ints(ids)
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 3 {
-		t.Errorf("Search = %v, want [0 3]", ids)
-	}
-}
-
-func TestSplitsAndHeight(t *testing.T) {
-	tr := New()
-	rng := rand.New(rand.NewSource(1))
-	const n = 500
-	for i := 0; i < n; i++ {
-		tr.Insert(pt(rng.Float64(), rng.Float64(), rng.Float64()), i)
-	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if h := tr.Height(); h < 3 {
-		t.Errorf("height %d too small for %d points with fan-out %d", h, n, MaxEntries)
-	}
-	// Everything must be findable.
-	all := tr.Search(geometry.Rect3{Lo: pt(0, 0, 0), Hi: pt(1, 1, 1)})
-	if len(all) != n {
-		t.Errorf("full-range search found %d of %d", len(all), n)
-	}
-}
-
 func TestNodeInvariants(t *testing.T) {
-	tr := New()
 	rng := rand.New(rand.NewSource(2))
 	const n = 300
 	pts := make([]geometry.Point3, n)
-	for i := 0; i < n; i++ {
+	for i := range pts {
 		pts[i] = pt(rng.Float64(), rng.Float64(), rng.Float64())
-		tr.Insert(pts[i], i)
 	}
+	tr := BulkLoadPoints(pts)
 	rootSeen := false
 	tr.Nodes(func(info NodeInfo) bool {
 		if info.Depth == 0 {
@@ -81,7 +83,7 @@ func TestNodeInvariants(t *testing.T) {
 				t.Errorf("root count = %d, want %d", info.Count, n)
 			}
 		}
-		if !info.MBB.Valid() {
+		if !info.MBB.Lo.DominatedBy(info.MBB.Hi) {
 			t.Errorf("invalid MBB %v at depth %d", info.MBB, info.Depth)
 		}
 		if info.Count < 1 {
@@ -89,7 +91,7 @@ func TestNodeInvariants(t *testing.T) {
 		}
 		// Every point counted in a subtree lies inside its MBB: verify via
 		// a search restricted to the MBB.
-		found := tr.Search(info.MBB)
+		found := tr.search(info.MBB)
 		if len(found) < info.Count {
 			t.Errorf("MBB search found %d < subtree count %d", len(found), info.Count)
 		}
@@ -101,10 +103,11 @@ func TestNodeInvariants(t *testing.T) {
 }
 
 func TestNodesEarlyStop(t *testing.T) {
-	tr := New()
-	for i := 0; i < 100; i++ {
-		tr.Insert(pt(float64(i)/100, 0.5, 0.5), i)
+	pts := make([]geometry.Point3, 100)
+	for i := range pts {
+		pts[i] = pt(float64(i)/100, 0.5, 0.5)
 	}
+	tr := BulkLoadPoints(pts)
 	visits := 0
 	tr.Nodes(func(NodeInfo) bool {
 		visits++
@@ -116,11 +119,12 @@ func TestNodesEarlyStop(t *testing.T) {
 }
 
 func TestDuplicatePoints(t *testing.T) {
-	tr := New()
-	for i := 0; i < 50; i++ {
-		tr.Insert(pt(0.5, 0.5, 0.5), i)
+	pts := make([]geometry.Point3, 50)
+	for i := range pts {
+		pts[i] = pt(0.5, 0.5, 0.5)
 	}
-	ids := tr.Search(geometry.RectFromPoint(pt(0.5, 0.5, 0.5)))
+	tr := BulkLoadPoints(pts)
+	ids := tr.search(geometry.RectFromPoint(pt(0.5, 0.5, 0.5)))
 	if len(ids) != 50 {
 		t.Errorf("found %d duplicates, want 50", len(ids))
 	}
@@ -130,54 +134,21 @@ func TestDuplicatePoints(t *testing.T) {
 func linearSearch(pts []geometry.Point3, rect geometry.Rect3) []int {
 	var ids []int
 	for i, p := range pts {
-		if rect.Contains(p) {
+		if rect.Lo.DominatedBy(p) && p.DominatedBy(rect.Hi) {
 			ids = append(ids, i)
 		}
 	}
 	return ids
 }
 
-func TestPropertySearchMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func() bool {
-		n := 1 + rng.Intn(200)
-		pts := make([]geometry.Point3, n)
-		tr := New()
-		for i := range pts {
-			pts[i] = pt(rng.Float64(), rng.Float64(), rng.Float64())
-			tr.Insert(pts[i], i)
-		}
-		for q := 0; q < 5; q++ {
-			a := pt(rng.Float64(), rng.Float64(), rng.Float64())
-			b := pt(rng.Float64(), rng.Float64(), rng.Float64())
-			rect := geometry.Rect3{Lo: a.Min(b), Hi: a.Max(b)}
-			got := tr.Search(rect)
-			want := linearSearch(pts, rect)
-			sort.Ints(got)
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropertyCountsSumAtLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := func() bool {
-		n := 1 + rng.Intn(300)
-		tr := New()
-		for i := 0; i < n; i++ {
-			tr.Insert(pt(rng.Float64(), rng.Float64(), rng.Float64()), i)
+		pts := make([]geometry.Point3, 1+rng.Intn(300))
+		for i := range pts {
+			pts[i] = pt(rng.Float64(), rng.Float64(), rng.Float64())
 		}
+		tr := BulkLoadPoints(pts)
 		leafTotal := 0
 		ok := true
 		tr.Nodes(func(info NodeInfo) bool {
@@ -189,7 +160,7 @@ func TestPropertyCountsSumAtLeaves(t *testing.T) {
 			}
 			return true
 		})
-		return ok && leafTotal == n
+		return ok && leafTotal == len(pts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

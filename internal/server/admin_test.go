@@ -147,3 +147,26 @@ func TestDrainRejectsLiveWrites(t *testing.T) {
 		t.Fatalf("submit while draining: %v, want ErrTenantClosed", err)
 	}
 }
+
+// TestAdminTenantInheritsParallelism: a tenant created over the admin
+// route sweeps with the server's Parallelism, like the boot tenants.
+func TestAdminTenantInheritsParallelism(t *testing.T) {
+	s, hs := newTestServer(t, Config{
+		Tenants:     map[string]TenantConfig{"alpha": fixedTenant(4, 0.7)},
+		Parallelism: 1,
+	})
+	var st TenantStatusResponse
+	if code := call(t, hs.Client(), "POST", hs.URL+"/v1/admin/tenants/beta",
+		CreateTenantRequest{Catalog: adminCatalog()}, &st); code != http.StatusCreated {
+		t.Fatalf("create status %d", code)
+	}
+	for _, name := range []string{"alpha", "beta"} {
+		tn, err := s.Tenant(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tn.ix.Parallelism; got != 1 {
+			t.Errorf("tenant %s: index Parallelism %d, want the server's 1", name, got)
+		}
+	}
+}

@@ -106,7 +106,7 @@ func TestCoalescedBatchDrainsQueue(t *testing.T) {
 			// The reply is sent after the batch's view publish: the
 			// published view must already contain this submission.
 			if err == nil {
-				if _, ok := tn.Snapshot().Request(id); !ok {
+				if _, ok := tn.planView().Request(id); !ok {
 					t.Errorf("read-your-writes violated: %s missing after its ack", id)
 				}
 			}
@@ -245,11 +245,11 @@ func TestCoalescedLoopUnderRace(t *testing.T) {
 					t.Errorf("submit %s: %v", id, err)
 					return
 				}
-				snap := tn.Snapshot()
-				if snap.Epoch < res.Epoch {
-					t.Errorf("%s: snapshot epoch %d older than ack epoch %d", id, snap.Epoch, res.Epoch)
+				v := tn.planView()
+				if v.Epoch < res.Epoch {
+					t.Errorf("%s: snapshot epoch %d older than ack epoch %d", id, v.Epoch, res.Epoch)
 				}
-				if _, ok := snap.Request(id); !ok {
+				if _, ok := v.Request(id); !ok {
 					t.Errorf("read-your-writes violated: %s missing after submit ack", id)
 				}
 				if res.Epoch <= last {
@@ -262,7 +262,7 @@ func TestCoalescedLoopUnderRace(t *testing.T) {
 						t.Errorf("revoke %s: %v", id, err)
 						return
 					}
-					if _, ok := tn.Snapshot().Request(id); ok {
+					if _, ok := tn.planView().Request(id); ok {
 						t.Errorf("read-your-writes violated: %s still visible after revoke ack", id)
 					}
 					if epoch <= last {

@@ -186,7 +186,7 @@ func TestDurableRestartRestoresState(t *testing.T) {
 	if _, err := tn.Submit(context.Background(), strategy.Request{ID: "fresh", Params: strategy.Params{Quality: 0.3, Cost: 0.9, Latency: 0.9}, K: 1}); err != nil {
 		t.Fatal(err)
 	}
-	rs, ok := tn.Snapshot().Request("fresh")
+	rs, ok := tn.planView().Request("fresh")
 	if !ok {
 		t.Fatal("fresh request missing after recovery")
 	}
@@ -434,7 +434,7 @@ func TestWALFailureGoesReadOnly(t *testing.T) {
 	if err == nil {
 		t.Fatal("submit with a dead WAL was acknowledged")
 	}
-	if _, ok := tn.Snapshot().Request("unlogged"); ok {
+	if _, ok := tn.planView().Request("unlogged"); ok {
 		t.Fatal("unlogged mutation is visible in the published snapshot")
 	}
 	if _, err := tn.Submit(context.Background(), strategy.Request{ID: "after", Params: strategy.Params{Quality: 0.3, Cost: 0.9, Latency: 0.9}, K: 1}); !errors.Is(err, ErrWALBroken) {

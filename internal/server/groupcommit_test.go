@@ -110,7 +110,7 @@ func TestGroupCommitFailureNoTrace(t *testing.T) {
 	if !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("submit through failing commit round: %v, want ErrWALBroken", err)
 	}
-	if _, ok := tn.Snapshot().Request("doomed"); ok {
+	if _, ok := tn.planView().Request("doomed"); ok {
 		t.Fatal("unacked mutation visible in the published snapshot")
 	}
 	if _, err := tn.Submit(context.Background(), strategy.Request{ID: "after", Params: strategy.Params{Quality: 0.3, Cost: 0.9, Latency: 0.9}, K: 1}); !errors.Is(err, ErrWALBroken) {
@@ -221,11 +221,12 @@ func TestGroupCommitMidBatchAppendFailureNoLostRollback(t *testing.T) {
 			t.Fatalf("batch op %d (%s): err %v, want ErrWALBroken", i, batch[i].req.ID, res.err)
 		}
 	}
-	want := tn.Snapshot()
-	if _, ok := want.Request("first"); ok {
+	v := tn.planView()
+	want := v.Snapshot()
+	if _, ok := v.Request("first"); ok {
 		t.Fatal("rolled-back mutation visible in the published snapshot")
 	}
-	if _, ok := want.Request("gate"); !ok {
+	if _, ok := v.Request("gate"); !ok {
 		t.Fatal("durably committed gate submit missing from the snapshot")
 	}
 	if n := s1.gc.busy.Load(); n != 0 {

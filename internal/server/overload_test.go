@@ -60,7 +60,7 @@ func gatedTenantConfig(buf, coalesce int) (TenantConfig, chan struct{}, *sync.Wa
 // resumes.
 func TestAdmissionQueueFullSheds(t *testing.T) {
 	cfg, gate, entered := gatedTenantConfig(1, 1)
-	tn, err := newTenant("x", cfg, durability{}, nil, nil, nil)
+	tn, err := newTenant("x", cfg, durability{}, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 // reaching the loop.
 func TestAdmissionDeadlineProjection(t *testing.T) {
 	cfg := fixedTenant(4, 1)
-	tn, err := newTenant("x", cfg, durability{}, nil, nil, nil)
+	tn, err := newTenant("x", cfg, durability{}, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAdmissionDeadlineProjection(t *testing.T) {
 // mutates state, never reaches the WAL.
 func TestLoopShedsExpiredBeforeApply(t *testing.T) {
 	cfg, gate, entered := gatedTenantConfig(4, 1)
-	tn, err := newTenant("x", cfg, durability{}, nil, nil, nil)
+	tn, err := newTenant("x", cfg, durability{}, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

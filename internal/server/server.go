@@ -61,6 +61,9 @@ type Config struct {
 	// fsynced before it is acknowledged.
 	WALGroupCommitWindow time.Duration
 
+	// Parallelism caps the ADPaR sweep workers of every tenant, those
+	// CreateTenant adds included (0 = GOMAXPROCS, 1 = sequential).
+	Parallelism int
 	// ADPaRWorkers caps concurrently running ADPaR alternative solves
 	// across all tenants (0 = GOMAXPROCS). The pool is server-wide
 	// because the solves contend for the same CPUs regardless of tenant.
@@ -116,6 +119,8 @@ type Server struct {
 	// dur carries the WAL settings runtime-created tenants inherit.
 	dur  durability
 	pool *queryPool
+	// parallelism is Config.Parallelism, which every tenant inherits.
+	parallelism int
 	// gc is the cross-tenant commit scheduler (nil unless durability is
 	// on).
 	gc *groupCommitter
@@ -140,8 +145,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Each of these reads 0 as its default, so a negative value would
 	// silently mean the default: a negative CheckpointEvery turns
-	// auto-checkpointing off and lets the WAL grow without bound.
+	// auto-checkpointing off and lets the WAL grow without bound, and a
+	// negative Parallelism sweeps sequentially.
 	switch {
+	case cfg.Parallelism < 0:
+		return nil, fmt.Errorf("server: negative Parallelism %d", cfg.Parallelism)
 	case cfg.CheckpointEvery < 0:
 		return nil, fmt.Errorf("server: negative CheckpointEvery %d", cfg.CheckpointEvery)
 	case cfg.MutationDeadline < 0:
@@ -165,6 +173,7 @@ func New(cfg Config) (*Server, error) {
 		start:       now(),
 		dataDir:     cfg.DataDir,
 		pool:        newQueryPool(cfg.ADPaRWorkers, cfg.ADPaRQueue, now),
+		parallelism: cfg.Parallelism,
 		mutDeadline: cfg.MutationDeadline,
 		log:         logger,
 	}
@@ -195,7 +204,7 @@ func New(cfg Config) (*Server, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				built[i], errs[i] = newTenant(names[i], cfg.Tenants[names[i]], s.dur, s.pool, s.log, s.now)
+				built[i], errs[i] = newTenant(names[i], cfg.Tenants[names[i]], s.dur, s.pool, s.parallelism, s.log, s.now)
 			}
 		}()
 	}
@@ -279,7 +288,7 @@ func (s *Server) CreateTenant(name string, cfg TenantConfig) error {
 	}
 	// Build outside the lock — index compilation and WAL recovery can
 	// take a while, and requests to existing tenants must not stall.
-	t, err := newTenant(name, cfg, s.dur, s.pool, s.log, s.now)
+	t, err := newTenant(name, cfg, s.dur, s.pool, s.parallelism, s.log, s.now)
 	if err != nil {
 		return err
 	}

@@ -460,7 +460,7 @@ func TestServeConfigValidation(t *testing.T) {
 		"MutationDeadline": func(c *Config) { c.MutationDeadline = -time.Millisecond },
 		"ADPaRWorkers":     func(c *Config) { c.ADPaRWorkers = -1 },
 		"ADPaRQueue":       func(c *Config) { c.ADPaRQueue = -1 },
-		"Parallelism":      func(c *Config) { tc := c.Tenants["alpha"]; tc.Parallelism = -1; c.Tenants["alpha"] = tc },
+		"Parallelism":      func(c *Config) { c.Parallelism = -1 },
 		"OpBuffer":         func(c *Config) { tc := c.Tenants["alpha"]; tc.OpBuffer = -1; c.Tenants["alpha"] = tc },
 		"Coalesce":         func(c *Config) { tc := c.Tenants["alpha"]; tc.Coalesce = -1; c.Tenants["alpha"] = tc },
 	} {
@@ -536,7 +536,7 @@ func TestServeReadYourWrites(t *testing.T) {
 // equals the manager's own Alternative on the shared warm index.
 func TestTenantSharedIndexMatchesManager(t *testing.T) {
 	cfg := fixedTenant(5, 0.5)
-	tn, err := newTenant("x", cfg, durability{}, nil, nil, nil)
+	tn, err := newTenant("x", cfg, durability{}, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,6 @@ type TenantConfig struct {
 	Objective batch.Objective
 	// InitialW is the starting expected workforce.
 	InitialW float64
-	// Parallelism caps the ADPaR sweep workers (0 = GOMAXPROCS).
-	Parallelism int
 	// OpBuffer sizes the event-loop inbox; 0 defaults to 64.
 	OpBuffer int
 	// Coalesce caps how many pending mutations the event loop drains from
@@ -243,7 +241,7 @@ type opResult struct {
 // statement newTenant is the manager's only writer, so recovery drives
 // the manager directly, and by the time the server exposes its handler
 // the tenant's published view is the recovered state.
-func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, logger *slog.Logger, now func() time.Time) (*Tenant, error) {
+func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, parallelism int, logger *slog.Logger, now func() time.Time) (*Tenant, error) {
 	if logger == nil {
 		logger = discardLogger()
 	}
@@ -254,10 +252,8 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 		return nil, fmt.Errorf("server: tenant %s: %d strategies with %d model sets", name, len(cfg.Set), len(cfg.Models))
 	}
 	// Each of these reads 0 as its default, so a negative value would
-	// silently mean the default (or, for Parallelism, a sequential sweep).
+	// silently mean the default.
 	switch {
-	case cfg.Parallelism < 0:
-		return nil, fmt.Errorf("server: tenant %s: negative Parallelism %d", name, cfg.Parallelism)
 	case cfg.OpBuffer < 0:
 		return nil, fmt.Errorf("server: tenant %s: negative OpBuffer %d", name, cfg.OpBuffer)
 	case cfg.Coalesce < 0:
@@ -271,7 +267,7 @@ func newTenant(name string, cfg TenantConfig, dur durability, pool *queryPool, l
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %s: %w", name, err)
 	}
-	ix.Parallelism = cfg.Parallelism
+	ix.Parallelism = parallelism
 	if err := mgr.AttachIndex(ix); err != nil {
 		return nil, fmt.Errorf("server: tenant %s: %w", name, err)
 	}

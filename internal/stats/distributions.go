@@ -127,8 +127,3 @@ func StudentTQuantile(p, df float64) float64 {
 	}
 	return (lo + hi) / 2
 }
-
-// NormalCDF returns the standard normal CDF.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}

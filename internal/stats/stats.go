@@ -10,7 +10,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Summary holds descriptive statistics of a sample.
@@ -58,30 +57,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. It panics on an empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty sample")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Uniform draws from U[lo, hi].

@@ -1,8 +1,8 @@
 // Package store provides the JSON persistence layer of the reproduction: a
-// platform's strategy catalog with fitted availability models, requester
-// batches, and deployment history (the observations Section 3.1's model
-// fitting consumes). cmd/stratrec reads these formats; the marketplace
-// simulator can write history files that round-trip through the fitting
+// platform's strategy catalog with fitted availability models, the
+// multi-tenant catalog file `stratrec serve` hosts, and deployment history
+// (the observations Section 3.1's model fitting consumes). The marketplace
+// simulator writes history files that round-trip through the fitting
 // pipeline.
 package store
 
@@ -113,27 +113,6 @@ func AnchoredModels(p strategy.Params, W float64) linmodel.ParamModels {
 	}
 }
 
-// FromRuntime builds a catalog from runtime types, the inverse of
-// Materialize.
-func FromRuntime(set strategy.Set, models workforce.PerStrategyModels, W float64) (Catalog, error) {
-	if len(set) != len(models) {
-		return Catalog{}, fmt.Errorf("store: %d strategies with %d model sets", len(set), len(models))
-	}
-	c := Catalog{Workforce: W}
-	for i, s := range set {
-		pm := models[i]
-		c.Entries = append(c.Entries, Entry{
-			Name:      s.Name,
-			Structure: s.Dims.Structure.String(),
-			Organize:  s.Dims.Organization.String(),
-			Style:     s.Dims.Style.String(),
-			Params:    s.Params,
-			Models:    &pm,
-		})
-	}
-	return c, nil
-}
-
 // Tenants is a multi-tenant catalog file: one named strategy catalog per
 // tenant, the unit a `stratrec serve` instance hosts. Tenant names become
 // URL path segments, so keep them URL-safe.
@@ -177,11 +156,6 @@ func LoadTenants(path string) (Tenants, error) {
 		return Tenants{}, err
 	}
 	return t, t.Validate()
-}
-
-// Batch is a persisted batch of deployment requests.
-type Batch struct {
-	Requests []strategy.Request `json:"requests"`
 }
 
 // Observation is one recorded deployment outcome, the raw material of the
@@ -282,18 +256,6 @@ func Write(w io.Writer, v interface{}) error {
 func LoadCatalog(path string) (Catalog, error) {
 	var c Catalog
 	return c, load(path, &c)
-}
-
-// LoadBatch reads a request batch file.
-func LoadBatch(path string) (Batch, error) {
-	var b Batch
-	return b, load(path, &b)
-}
-
-// LoadHistory reads a deployment history file.
-func LoadHistory(path string) (History, error) {
-	var h History
-	return h, load(path, &h)
 }
 
 func load(path string, v interface{}) error {

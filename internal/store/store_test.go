@@ -172,50 +172,6 @@ func TestTenantsValidate(t *testing.T) {
 	}
 }
 
-func TestFromRuntimeRoundTrip(t *testing.T) {
-	set, models, err := sampleCatalog().Materialize(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := FromRuntime(set, models, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set2, models2, err := back.Materialize(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range set {
-		if set[i].Params != set2[i].Params || set[i].Dims != set2[i].Dims {
-			t.Errorf("strategy %d drifted", i)
-		}
-		if models[i] != models2[i] {
-			t.Errorf("models %d drifted", i)
-		}
-	}
-	if _, err := FromRuntime(set, models[:1], 0.8); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestLoadBatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "batch.json")
-	b := Batch{Requests: []strategy.Request{
-		{ID: "d1", Params: strategy.Params{Quality: 0.4, Cost: 0.17, Latency: 0.28}, K: 3},
-	}}
-	if err := Save(path, b); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBatch(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Requests) != 1 || loaded.Requests[0] != b.Requests[0] {
-		t.Errorf("loaded = %+v", loaded)
-	}
-}
-
 func TestLoadErrors(t *testing.T) {
 	if _, err := LoadCatalog("/nonexistent/file.json"); err == nil {
 		t.Error("missing file accepted")
@@ -225,8 +181,8 @@ func TestLoadErrors(t *testing.T) {
 	if err := Save(bad, "not a catalog"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadHistory(bad); err == nil {
-		t.Error("malformed history accepted")
+	if _, err := LoadCatalog(bad); err == nil {
+		t.Error("malformed catalog accepted")
 	}
 }
 

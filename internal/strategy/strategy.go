@@ -7,8 +7,6 @@ package strategy
 import (
 	"errors"
 	"fmt"
-
-	"stratrec/internal/geometry"
 )
 
 // Structure says whether the workforce is solicited sequentially or
@@ -129,17 +127,6 @@ func (p Params) Validate() error {
 	return check("latency", p.Latency)
 }
 
-// Point maps the parameters into the smaller-is-better geometric space of
-// Section 4: (1 - quality, cost, latency).
-func (p Params) Point() geometry.Point3 {
-	return geometry.Point3{1 - p.Quality, p.Cost, p.Latency}
-}
-
-// ParamsFromPoint is the inverse of Params.Point.
-func ParamsFromPoint(pt geometry.Point3) Params {
-	return Params{Quality: 1 - pt[0], Cost: pt[1], Latency: pt[2]}
-}
-
 // Strategy is a deployment strategy: a dimension combination plus the
 // parameters it is estimated to achieve for the deployment under
 // consideration. ID is the index of the strategy in its Set.
@@ -206,16 +193,6 @@ func (set Set) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Points maps every strategy into the smaller-is-better space, preserving
-// order.
-func (set Set) Points() []geometry.Point3 {
-	pts := make([]geometry.Point3, len(set))
-	for i, s := range set {
-		pts[i] = s.Params.Point()
-	}
-	return pts
 }
 
 // Satisfying returns the IDs of all strategies satisfying request d, in set

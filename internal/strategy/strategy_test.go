@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"stratrec/internal/geometry"
 )
 
 func TestDimensionStrings(t *testing.T) {
@@ -59,18 +61,6 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("invalid params %+v accepted", p)
 		}
-	}
-}
-
-func TestPointRoundTrip(t *testing.T) {
-	p := Params{Quality: 0.8, Cost: 0.2, Latency: 0.28}
-	pt := p.Point()
-	if math.Abs(pt[0]-0.2) > 1e-12 || pt[1] != 0.2 || pt[2] != 0.28 {
-		t.Errorf("Point = %v", pt)
-	}
-	back := ParamsFromPoint(pt)
-	if back != p {
-		t.Errorf("round trip %+v != %+v", back, p)
 	}
 }
 
@@ -145,20 +135,6 @@ func TestSetValidate(t *testing.T) {
 	}
 }
 
-func TestSetPoints(t *testing.T) {
-	set := PaperExampleStrategies()
-	pts := set.Points()
-	if len(pts) != 4 {
-		t.Fatalf("len(Points) = %d", len(pts))
-	}
-	if pts[2] != set[2].Params.Point() {
-		t.Errorf("Points[2] = %v", pts[2])
-	}
-	if math.Abs(pts[0][0]-0.5) > 1e-12 { // 1 - s1.quality
-		t.Errorf("inverted quality of s1 = %v, want 0.5", pts[0][0])
-	}
-}
-
 func TestStrategyString(t *testing.T) {
 	s := PaperExampleStrategies()[2]
 	got := s.String()
@@ -170,33 +146,6 @@ func TestStrategyString(t *testing.T) {
 	s.ID = 4
 	if got := s.String(); !strings.HasPrefix(got, "s5 ") {
 		t.Errorf("default name = %q", got)
-	}
-}
-
-func TestSpaceCounting(t *testing.T) {
-	if v := NumCombinations(2, 2, 2); v != 8 {
-		t.Errorf("NumCombinations = %d, want 8", v)
-	}
-	// The paper: 8^10 = 1,073,741,824 workflow strategies for x=10, v=8.
-	if got := WorkflowStrategies(8, 10); got != 1073741824 {
-		t.Errorf("WorkflowStrategies(8, 10) = %v, want 1073741824", got)
-	}
-	if got := WorkflowStrategies(8, 0); got != 1 {
-		t.Errorf("WorkflowStrategies(8, 0) = %v, want 1", got)
-	}
-	if got := WorkflowStrategies(0, 5); got != 0 {
-		t.Errorf("WorkflowStrategies(0, 5) = %v, want 0", got)
-	}
-	// v^n * v! for v=2, n=3: 8 * 2 = 16.
-	if got := SpaceOrder(2, 3); got != 16 {
-		t.Errorf("SpaceOrder(2, 3) = %v, want 16", got)
-	}
-	// v=8, n=1: 8 * 40320.
-	if got := SpaceOrder(8, 1); got != 8*40320 {
-		t.Errorf("SpaceOrder(8, 1) = %v, want %v", got, 8*40320)
-	}
-	if got := SpaceOrder(0, 3); got != 0 {
-		t.Errorf("SpaceOrder(0, 3) = %v, want 0", got)
 	}
 }
 
@@ -223,9 +172,15 @@ func TestPropertySatisfiesMatchesDominance(t *testing.T) {
 		s := Params{Quality: rng.Float64(), Cost: rng.Float64(), Latency: rng.Float64()}
 		d := Params{Quality: rng.Float64(), Cost: rng.Float64(), Latency: rng.Float64()}
 		// The satisfaction predicate and geometric dominance agree.
-		return Satisfies(s, d) == s.Point().DominatedBy(d.Point())
+		return Satisfies(s, d) == point(s).DominatedBy(point(d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// point maps parameters into the smaller-is-better space of Section 4:
+// (1 - quality, cost, latency).
+func point(p Params) geometry.Point3 {
+	return geometry.Point3{1 - p.Quality, p.Cost, p.Latency}
 }

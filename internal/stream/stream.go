@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"slices"
 
 	"stratrec/internal/adpar"
 	"stratrec/internal/batch"
@@ -385,9 +384,6 @@ type Plan struct {
 	Workforce float64
 }
 
-// Plan returns the current plan: Snapshot().Plan.
-func (m *Manager) Plan() Plan { return m.Snapshot().Plan }
-
 // RequestState is one open request's state inside a View or Snapshot.
 type RequestState struct {
 	ID      string
@@ -472,16 +468,6 @@ type Snapshot struct {
 	Plan         Plan
 	// Requests lists every open request in admission order.
 	Requests []RequestState
-
-	view *View // answers Request
-}
-
-// Request returns the state of an open request by ID.
-func (s *Snapshot) Request(id string) (RequestState, bool) {
-	if s == nil {
-		return RequestState{}, false
-	}
-	return s.view.Request(id)
 }
 
 // Snapshot builds the view's full Snapshot in O(n log n). It is the one
@@ -492,7 +478,6 @@ func (v *View) Snapshot() *Snapshot {
 		Availability: v.Availability,
 		Plan:         Plan{Objective: v.Objective, Workforce: v.Workforce},
 		Requests:     make([]RequestState, 0, v.Open),
-		view:         v,
 	}
 	if v.Serving > 0 {
 		s.Plan.Serving = make([]string, 0, v.Serving)
@@ -516,16 +501,6 @@ func (v *View) Snapshot() *Snapshot {
 // Snapshot: Publish().Snapshot(). Writer only; the result is safe to
 // hand to any number of concurrent readers.
 func (m *Manager) Snapshot() *Snapshot { return m.Publish().Snapshot() }
-
-// Strategies returns the k recommended strategies of a served request, or
-// nil if the request is not currently served.
-func (m *Manager) Strategies(id string) []int {
-	l, ok := m.lookup(id)
-	if !ok || !l.serving {
-		return nil
-	}
-	return slices.Clone(l.rec.req.Strategies)
-}
 
 // ErrServed reports that an alternative was requested for a request the
 // current plan already serves.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,32 @@ import (
 	"stratrec/internal/synth"
 	"stratrec/internal/workforce"
 )
+
+// Plan returns the current plan: Snapshot().Plan.
+func (m *Manager) Plan() Plan { return m.Snapshot().Plan }
+
+// Request returns the state of an open request by ID.
+func (s *Snapshot) Request(id string) (RequestState, bool) {
+	if s == nil {
+		return RequestState{}, false
+	}
+	for _, rs := range s.Requests {
+		if rs.ID == id {
+			return rs, true
+		}
+	}
+	return RequestState{}, false
+}
+
+// Strategies returns the k recommended strategies of a served request, or
+// nil if the request is not currently served.
+func (m *Manager) Strategies(id string) []int {
+	l, ok := m.lookup(id)
+	if !ok || !l.serving {
+		return nil
+	}
+	return slices.Clone(l.rec.req.Strategies)
+}
 
 // fixedModels yields a requirement equal to (quality threshold - 0.2) /
 // 0.8 for every strategy, making plan arithmetic predictable.

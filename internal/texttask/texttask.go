@@ -130,15 +130,6 @@ type Document struct {
 	History []Edit
 }
 
-// WordCount returns the total number of scored words.
-func (d *Document) WordCount() int {
-	n := 0
-	for _, line := range d.Correct {
-		n += len(line)
-	}
-	return n
-}
-
 // ExpertScore is the simulated domain expert's quality judgment: the
 // fraction of correct words, the percentage-style score the paper's experts
 // produced.

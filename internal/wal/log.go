@@ -543,11 +543,6 @@ func (l *Log) Appends() uint64 { return l.appends.Load() }
 // goroutine.
 func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 
-// Broken reports whether an append or sync has failed since Open. A
-// broken log rejects further appends and Close will discard (not flush)
-// whatever the failed append left buffered.
-func (l *Log) Broken() bool { return l.broken }
-
 // Close flushes, fsyncs and closes the segment, then releases the
 // directory lock. A broken log is closed without flushing: the buffer
 // holds the one record whose append failed — an unacknowledged mutation

@@ -9,6 +9,11 @@ import (
 	"testing"
 )
 
+// Broken reports whether an append or sync has failed since Open. A
+// broken log rejects further appends and Close will discard (not flush)
+// whatever the failed append left buffered.
+func (l *Log) Broken() bool { return l.broken }
+
 func submitRec(id string, sub uint64, epoch uint64) Record {
 	return Record{Kind: KindSubmit, ID: id, Quality: 0.4, Cost: 0.3, Latency: 0.2, K: 3, Sub: sub, Epoch: epoch}
 }

@@ -92,22 +92,6 @@ func Compute(requests []strategy.Request, set strategy.Set, models ModelProvider
 	return mat, nil
 }
 
-// Rows returns the number of requests m.
-func (mat *Matrix) Rows() int { return mat.m }
-
-// Cols returns the number of strategies |S|.
-func (mat *Matrix) Cols() int { return mat.s }
-
-// Entry returns w_ij.
-func (mat *Matrix) Entry(i, j int) float64 { return mat.entries[i*mat.s+j] }
-
-// Row returns a copy of row i.
-func (mat *Matrix) Row(i int) []float64 {
-	row := make([]float64, mat.s)
-	copy(row, mat.entries[i*mat.s:(i+1)*mat.s])
-	return row
-}
-
 // Mode selects how the k per-strategy requirements of one request aggregate
 // into a single requirement (step 2 of Section 3.2).
 type Mode int

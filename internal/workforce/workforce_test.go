@@ -33,6 +33,22 @@ func testSet(n int) strategy.Set {
 	return set
 }
 
+// Rows returns the number of requests m.
+func (mat *Matrix) Rows() int { return mat.m }
+
+// Cols returns the number of strategies |S|.
+func (mat *Matrix) Cols() int { return mat.s }
+
+// Entry returns w_ij.
+func (mat *Matrix) Entry(i, j int) float64 { return mat.entries[i*mat.s+j] }
+
+// Row returns a copy of row i.
+func (mat *Matrix) Row(i int) []float64 {
+	row := make([]float64, mat.s)
+	copy(row, mat.entries[i*mat.s:(i+1)*mat.s])
+	return row
+}
+
 func TestComputeMatrix(t *testing.T) {
 	set := testSet(3)
 	models := testModels([]float64{0.6, 0.4, 0.2})
